@@ -26,14 +26,15 @@ from .messages import (
     LocalReport,
     MessageLog,
     ProtocolMessage,
-    RoundMetrics,
     TraceRecord,
 )
 from .miner import (
     MiningResult,
+    RoundMetrics,
     apriori_gen,
     itemset_key,
     parse_minsup,
+    run_sequential,
     sequential_apriori,
     threshold,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "partition",
     "run_cd",
     "run_improved",
+    "run_sequential",
     "sequential_apriori",
     "threshold",
 ]

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .count_distribution import CountDistributionRun
 from .dataset import (
+    PARTITION_STRATEGIES,
     FimiFormatError,
     PartitionSpec,
     TransactionDb,
@@ -21,8 +22,7 @@ from .dataset import (
     load_fimi,
     partition,
 )
-from .messages import RoundMetrics
-from .miner import MiningResult, apriori_gen, sequential_apriori
+from .miner import MiningResult, RoundMetrics, run_sequential
 from .protocol import ImprovedRun
 
 ALGORITHMS = ("improved", "cd", "sequential")
@@ -98,9 +98,8 @@ def parse_synthetic(text: str) -> SyntheticSpec:
 
 def parse_partition(text: str) -> tuple[str, int]:
     name, sep, seed_text = text.partition(":")
-    strategy = {"contiguous": "contiguous", "roundrobin": "round-robin",
-                "round-robin": "round-robin", "random": "random"}.get(name)
-    if strategy is None:
+    strategy = "round-robin" if name == "roundrobin" else name
+    if strategy not in PARTITION_STRATEGIES:
         raise ConfigError(f"unknown partition strategy {name!r}")
     if sep and strategy != "random":
         raise ConfigError(f"only random takes a seed, got {text!r}")
@@ -154,37 +153,21 @@ def result_to_json(
     )
 
 
-def _sequential_rounds(db: TransactionDb, result: MiningResult) -> list[RoundMetrics]:
-    """Per-level rows for the sequential miner (no messages, no local prune)."""
-    rounds = []
-    if db.size == 0:
-        return rounds
-    candidates = [(i,) for i in range(db.universe)]
-    k = 1
-    while candidates:
-        level = [x for x in candidates if x in result.frequent]
-        rounds.append(
-            RoundMetrics(
-                k=k,
-                candidates_generated=len(candidates),
-                candidates_after_local_prune=len(candidates),
-                messages_sent=0,
-                payload_bytes=0,
-                llk_total=0,
-                lk_size=len(level),
-            )
-        )
-        candidates = apriori_gen(level) if level else []
-        k += 1
-    return rounds
+def _counter_cells(m: RoundMetrics) -> tuple[int, ...]:
+    """The six counter columns after ``round``, in CSV order."""
+    pruned = m.candidates_generated - m.candidates_after_local_prune
+    return (
+        m.candidates_generated,
+        pruned,
+        m.messages_sent,
+        m.payload_bytes,
+        m.llk_total,
+        m.lk_size,
+    )
 
 
 def _metrics_cells(m: RoundMetrics) -> str:
-    pruned = m.candidates_generated - m.candidates_after_local_prune
-    return (
-        f"{m.k},{m.candidates_generated},{pruned},{m.messages_sent},"
-        f"{m.payload_bytes},{m.llk_total},{m.lk_size}"
-    )
+    return ",".join(map(str, (m.k, *_counter_cells(m))))
 
 
 def _execute(
@@ -195,8 +178,8 @@ def _execute(
 ) -> tuple[MiningResult, list[RoundMetrics], list]:
     """Run one algorithm; returns (result, metrics, trace records)."""
     if algorithm == "sequential":
-        result = sequential_apriori(db, minsup)
-        return result, _sequential_rounds(db, result), []
+        result, metrics = run_sequential(db, minsup)
+        return result, metrics, []
     parts = partition(
         db,
         PartitionSpec(
@@ -274,18 +257,8 @@ def sweep(config: RunConfig) -> int:
                 wall_ms = (time.perf_counter() - start) * 1000.0
                 prefix = f"{algorithm},{minsup},{size}"
                 lines += [f"{prefix},{_metrics_cells(m)}," for m in metrics]
-                totals = RoundMetrics(
-                    k=0,
-                    candidates_generated=sum(m.candidates_generated for m in metrics),
-                    candidates_after_local_prune=sum(
-                        m.candidates_after_local_prune for m in metrics
-                    ),
-                    messages_sent=sum(m.messages_sent for m in metrics),
-                    payload_bytes=sum(m.payload_bytes for m in metrics),
-                    llk_total=sum(m.llk_total for m in metrics),
-                    lk_size=sum(m.lk_size for m in metrics),
-                )
-                summary = _metrics_cells(totals).split(",", 1)[1]
+                rows = [_counter_cells(m) for m in metrics]
+                summary = ",".join(str(sum(r[i] for r in rows)) for i in range(6))
                 lines.append(f"{prefix},summary,{summary},{wall_ms:.3f}")
     text = "\n".join(lines) + "\n"
     if config.metrics_path is not None:

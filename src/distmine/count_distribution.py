@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from .dataset import Itemset, TransactionDb
 from .lmatrix import LMatrix, ScanCounter
-from .messages import LocalReport, MessageLog, RoundMetrics
-from .miner import MiningResult, apriori_gen, parse_minsup, threshold
+from .messages import LocalReport, MessageLog
+from .miner import MiningResult, RoundMetrics, apriori_gen, parse_minsup, threshold
 from .protocol import local_support
 
 

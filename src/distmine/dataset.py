@@ -7,11 +7,11 @@ duplicate-free tuple, so a transaction doubles as an itemset.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import IO, Iterable
 
 import numpy as np
-from scipy.stats import poisson
 
 Itemset = tuple[int, ...]
 
@@ -167,8 +167,11 @@ def generate_synthetic(
 
     rng = np.random.default_rng(seed)
     u = rng.random((n_transactions, n_items + 1))
-    # Fixed-consumption length draw: one uniform per row through the inverse CDF.
-    lengths = poisson.ppf(u[:, 0], avg_len).astype(np.int64)
+    # Fixed-consumption length draw: one uniform per row through the inverse
+    # CDF, i.e. the smallest k with P(X <= k) >= u, from a table over 0..n_items.
+    log_fact = np.array([math.lgamma(k + 1) for k in range(n_items + 1)])
+    log_pmf = np.arange(n_items + 1) * math.log(avg_len) - avg_len - log_fact
+    lengths = np.searchsorted(np.cumsum(np.exp(log_pmf)), u[:, 0])
     np.clip(lengths, 1, n_items, out=lengths)
     # Weighted sampling without replacement: key_i = u_i ** (1/w_i) with
     # w_i = 1/(i+1); the largest keys win (Efraimidis-Spirakis).

@@ -7,27 +7,19 @@ never by re-reading raw transactions.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from .dataset import Itemset, TransactionDb
 
 
 class ScanCounter:
-    """Counts full passes over raw transaction lists.
-
-    Monotonically non-decreasing; increments are lock-protected so the
-    counter can be shared across threads.
-    """
+    """Counts full passes over raw transaction lists; never decreases."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self.raw_scans = 0
 
     def record_scan(self) -> None:
-        with self._lock:
-            self.raw_scans += 1
+        self.raw_scans += 1
 
 
 class LMatrix:
@@ -36,7 +28,7 @@ class LMatrix:
     Each item owns a contiguous vector of 64-bit words (its metavector);
     bit r of column c is set iff transaction r contains item c. Support of
     an itemset is the popcount of the AND of its columns. Instances are
-    immutable after construction and safe for concurrent readers.
+    immutable after construction.
     """
 
     def __init__(self, n_rows: int, n_cols: int, words: np.ndarray) -> None:

@@ -130,27 +130,23 @@ class TraceRecord:
         )
 
 
+# The center rides on site 0, so their exchanges never cross the network.
+COLOCATED_PAIR = frozenset(("site:0", "center"))
+
+
 class MessageLog:
     """Records every message and accumulates message/byte counters.
 
-    ``colocated_pair`` names two actors sharing a host (the center rides on
-    site 0); when ``count_colocated`` is False their exchanges still appear
-    in the trace but are excluded from the counters.
+    When ``count_colocated`` is False, exchanges between the co-located
+    site 0 and center still appear in the trace but are excluded from the
+    counters.
     """
 
-    def __init__(
-        self,
-        count_colocated: bool = True,
-        colocated_pair: tuple[str, str] | None = None,
-    ) -> None:
+    def __init__(self, count_colocated: bool = True) -> None:
         self.trace: list[TraceRecord] = []
         self.messages_sent = 0
         self.payload_bytes = 0
-        self._skip = (
-            frozenset(colocated_pair)
-            if colocated_pair is not None and not count_colocated
-            else None
-        )
+        self.count_colocated = count_colocated
 
     def send(self, src: str, dst: str, msg: ProtocolMessage) -> None:
         size = canonical_size(msg)
@@ -165,26 +161,7 @@ class MessageLog:
                 bytes=size,
             )
         )
-        if self._skip is not None and frozenset((src, dst)) == self._skip:
+        if not self.count_colocated and frozenset((src, dst)) == COLOCATED_PAIR:
             return
         self.messages_sent += 1
         self.payload_bytes += size
-
-
-@dataclass(frozen=True)
-class RoundMetrics:
-    """Per-level counters shared by all distributed runs.
-
-    Candidate counters are distinct-across-sites: ``candidates_generated``
-    is the number of distinct itemsets proposed anywhere this round and
-    ``candidates_after_local_prune`` the distinct itemsets actually counted.
-    ``llk_total`` sums the entries of all local reports.
-    """
-
-    k: int
-    candidates_generated: int
-    candidates_after_local_prune: int
-    messages_sent: int
-    payload_bytes: int
-    llk_total: int
-    lk_size: int

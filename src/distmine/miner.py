@@ -1,6 +1,6 @@
 """Level-wise frequent-itemset machinery: thresholds, candidate generation,
-and a sequential miner used as the correctness reference for the
-distributed algorithms."""
+per-round metrics, and a sequential miner used as the correctness reference
+for the distributed algorithms."""
 
 from __future__ import annotations
 
@@ -102,15 +102,38 @@ class MiningResult:
         return {x: n for x, n in self.frequent.items() if len(x) == k}
 
 
-def sequential_apriori(db: TransactionDb, minsup) -> MiningResult:
-    """Exact single-site Apriori over a bit matrix.
+@dataclass(frozen=True)
+class RoundMetrics:
+    """Per-level counters shared by all runs.
+
+    Candidate counters are distinct-across-sites: ``candidates_generated``
+    is the number of distinct itemsets proposed anywhere this round and
+    ``candidates_after_local_prune`` the distinct itemsets actually counted.
+    ``llk_total`` sums the entries of all local reports.
+    """
+
+    k: int
+    candidates_generated: int
+    candidates_after_local_prune: int
+    messages_sent: int
+    payload_bytes: int
+    llk_total: int
+    lk_size: int
+
+
+def run_sequential(
+    db: TransactionDb, minsup
+) -> tuple[MiningResult, list[RoundMetrics]]:
+    """Exact single-site Apriori over a bit matrix, with per-level metrics.
 
     Counts candidates level by level on an LMatrix built in one scan. An
-    empty database yields an empty result (its threshold of zero would
-    otherwise make every itemset vacuously frequent).
+    empty database yields an empty result and no levels (its threshold of
+    zero would otherwise make every itemset vacuously frequent). Levels
+    send no messages and prune nothing locally.
     """
     s = parse_minsup(minsup)
     frequent: dict[Itemset, int] = {}
+    metrics: list[RoundMetrics] = []
     if db.size > 0:
         thr = threshold(s, db.size)
         matrix = LMatrix.from_db(db, ScanCounter())
@@ -119,5 +142,21 @@ def sequential_apriori(db: TransactionDb, minsup) -> MiningResult:
             counts = matrix.support_batch(candidates)
             level = {x: n for x, n in zip(candidates, counts) if n >= thr}
             frequent.update(level)
+            metrics.append(
+                RoundMetrics(
+                    k=len(metrics) + 1,
+                    candidates_generated=len(candidates),
+                    candidates_after_local_prune=len(candidates),
+                    messages_sent=0,
+                    payload_bytes=0,
+                    llk_total=0,
+                    lk_size=len(level),
+                )
+            )
             candidates = apriori_gen(level) if level else []
-    return MiningResult(minsup=s, db_size=db.size, frequent=frequent)
+    return MiningResult(minsup=s, db_size=db.size, frequent=frequent), metrics
+
+
+def sequential_apriori(db: TransactionDb, minsup) -> MiningResult:
+    """The frequent itemsets of ``db``; the reference the distributed miners match."""
+    return run_sequential(db, minsup)[0]

@@ -15,15 +15,15 @@ from typing import NamedTuple
 
 from .dataset import Itemset, TransactionDb
 from .lmatrix import LMatrix, ScanCounter
-from .messages import (
-    CountRequest,
-    CountResponse,
-    GlobalResult,
-    LocalReport,
-    MessageLog,
+from .messages import CountRequest, CountResponse, GlobalResult, LocalReport, MessageLog
+from .miner import (
+    MiningResult,
     RoundMetrics,
+    apriori_gen,
+    itemset_key,
+    parse_minsup,
+    threshold,
 )
-from .miner import MiningResult, apriori_gen, itemset_key, parse_minsup, threshold
 
 
 class ProtocolError(RuntimeError):
@@ -73,7 +73,6 @@ class LocalSite:
         if part.size == 0:
             raise ValueError(f"site {site_id}: empty partition")
         self.site_id = site_id
-        self.partition = part
         self.scan_counter = ScanCounter()
         self.matrix = LMatrix.from_db(part, self.scan_counter)
         self.size = part.size
@@ -81,7 +80,6 @@ class LocalSite:
         self.universe = part.universe
         self.heavy_prev: set[Itemset] = set()
         self.local_counts: dict[Itemset, int] = {}
-        self.flag = True
         self.last_candidates: list[Itemset] = []
         self.last_survivors: list[Itemset] = []
 
@@ -134,7 +132,6 @@ class LocalSite:
             if n >= self.site_threshold:
                 heavy.add(x)
         self.heavy_prev = heavy
-        self.flag = result.continue_flag
 
 
 class _Pending(NamedTuple):
@@ -153,11 +150,9 @@ class CenterSite:
 
     def __init__(self, site_sizes: list[int], minsup: Fraction) -> None:
         self.n_sites = len(site_sizes)
-        self.site_sizes = list(site_sizes)
         self.total_size = sum(site_sizes)
         self.global_threshold = threshold(minsup, self.total_size)
         self.site_thresholds = [threshold(minsup, d) for d in site_sizes]
-        self.flag = True
         self.level = 0
         self._immediate: list[tuple[Itemset, int]] = []
         self._pending: dict[Itemset, _Pending] = {}
@@ -183,8 +178,6 @@ class CenterSite:
         for rep in sorted(reports, key=lambda r: r.site_id):
             for x, n in rep.entries:
                 origins.setdefault(x, {})[rep.site_id] = n
-        if not origins:
-            self.flag = False
 
         immediate: list[tuple[Itemset, int]] = []
         pruned: list[Itemset] = []
@@ -243,11 +236,12 @@ class CenterSite:
             if p.count >= self.global_threshold
         )
         frequent.sort(key=lambda e: itemset_key(e[0]))
-        self.flag = self.flag and len(frequent) >= self.level + 1
         self._immediate = []
         self._pending = {}
         return GlobalResult(
-            k=self.level, frequent=tuple(frequent), continue_flag=self.flag
+            k=self.level,
+            frequent=tuple(frequent),
+            continue_flag=len(frequent) > self.level,
         )
 
 
@@ -274,10 +268,7 @@ class ImprovedRun:
             LocalSite(i, part, self.minsup) for i, part in enumerate(partitions)
         ]
         self.center = CenterSite([s.size for s in self.sites], self.minsup)
-        self.log = MessageLog(
-            count_colocated=count_colocated_messages,
-            colocated_pair=("site:0", "center"),
-        )
+        self.log = MessageLog(count_colocated=count_colocated_messages)
         self.metrics: list[RoundMetrics] = []
         self.locally_pruned: list[tuple[int, int, Itemset]] = []
         self.maxcount_pruned: list[tuple[int, Itemset]] = []

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import MARKET_FIMI
 
+import distmine
 from distmine.cli import main
 
 MARKET_LABELS = '{"1":"Coffee","2":"Tea","3":"Milk","5":"Butter"}'
@@ -99,6 +104,29 @@ class TestRun:
         assert len(rows["improved"]) == 3
         assert len(rows["cd"]) == 2
         assert len(rows["sequential"]) == 2
+
+    def test_sequential_metrics_lines(self, market_file, tmp_path):
+        metrics = tmp_path / "m.csv"
+        run_cli(
+            "--input", market_file, "--minsup", "2/3", "--algorithm", "sequential",
+            "--out", tmp_path / "r.json", "--metrics", metrics,
+        )
+        assert metrics.read_text().splitlines()[1:] == [
+            "sequential,1,6,0,0,0,0,4,",
+            "sequential,2,6,0,0,0,0,3,",
+        ]
+
+    def test_import_leaves_out_scipy(self):
+        src = Path(distmine.__file__).resolve().parents[1]
+        code = "import sys, distmine.cli; print('scipy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
 
     def test_trace_written(self, market_file, tmp_path):
         trace = tmp_path / "t.jsonl"

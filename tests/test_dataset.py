@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from conftest import MARKET_FIMI, corpus_db
@@ -136,6 +138,21 @@ class TestPartition:
 
 
 class TestGenerateSynthetic:
+    @pytest.mark.parametrize(
+        ("args", "sha256"),
+        [
+            ((30000, 100, 10, 1), "0d0401f3f9d535244b2b8e8c6a810be6a0a9f97bd97ee98813d243e93631387a"),
+            ((30000, 100, 10, 301), "fcf94a4509f84aab4e31654edbd3ada0782745236788a5d086acf36f7393a3ce"),
+            ((30000, 100, 10, 401), "57d1c5687b93dc867fb6c50f421665cdf30d7bd854163a0f51b698e748ef6cdf"),
+            ((100000, 100, 10, 7), "1386078a64b7f93aa86db8612286337d65ad272b1eb2c3aa002124ee3bc5bf6a"),
+            ((200, 12, 3, 5), "99c7594a0b31a6b1f54ab76c7742f06f8434a4456622672e2a1a68d0a9bb7503"),
+        ],
+    )
+    def test_pinned_bytes(self, args, sha256):
+        # Databases used by the benchmark, criteria 7/8 and the sweep tests.
+        text = dump_fimi(generate_synthetic(*args))
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
     def test_empty(self):
         db = generate_synthetic(0, 5, 2, seed=1)
         assert db.size == 0

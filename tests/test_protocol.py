@@ -108,7 +108,6 @@ class TestLocalSite:
         site.build_report(1)
         site.update_heavy(GlobalResult(k=1, frequent=(), continue_flag=False))
         assert site.heavy_prev == set()
-        assert site.flag is False
 
     def test_update_heavy_recounts_unseen_itemsets(self, market_sites):
         # feed a result the site never counted; it must recount on the matrix
