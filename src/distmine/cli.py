@@ -236,7 +236,8 @@ def run(config: RunConfig) -> int:
 
 def sweep(config: RunConfig) -> int:
     """Grid of (algorithm, minsup, size) runs over one seeded synthetic
-    database; smaller sizes are prefixes of larger ones. Emits per-round
+    database, generated once at the largest size; smaller sizes are its
+    prefixes, as ``generate_synthetic`` would give them. Emits per-round
     rows plus one summary row (with wall-clock ms) per grid point."""
     if config.synthetic is None:
         raise ConfigError("sweep mode requires --synthetic")
@@ -246,14 +247,17 @@ def sweep(config: RunConfig) -> int:
     if not minsups:
         raise ConfigError("sweep mode needs --sweep-minsups or --minsup")
     sizes = config.sweep_sizes or [config.synthetic.n_transactions]
+    if min(sizes) < 0:
+        raise ConfigError(f"database sizes must be >= 0, got {min(sizes)}")
+    full = config.synthetic.generate(max(sizes))
+    dbs = {n: TransactionDb(full.transactions[:n], full.universe) for n in sizes}
 
     lines = [SWEEP_METRICS_HEADER]
     for algorithm in config.algorithms:
         for minsup in minsups:
             for size in sizes:
-                db = config.synthetic.generate(size)
                 start = time.perf_counter()
-                _, metrics, _ = _execute(algorithm, db, config, minsup)
+                _, metrics, _ = _execute(algorithm, dbs[size], config, minsup)
                 wall_ms = (time.perf_counter() - start) * 1000.0
                 prefix = f"{algorithm},{minsup},{size}"
                 lines += [f"{prefix},{_metrics_cells(m)}," for m in metrics]

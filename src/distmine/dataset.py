@@ -73,7 +73,7 @@ class PartitionSpec:
 def load_fimi(source: str | IO[str] | Iterable[str]) -> TransactionDb:
     """Parse FIMI .dat text: one transaction per non-empty line.
 
-    Items on a line are whitespace-separated non-negative base-10 integers;
+    Items on a line are whitespace-separated runs of ASCII decimal digits;
     duplicates within a line are dropped and items sorted ascending. Blank
     lines are skipped, so ``size`` may be smaller than the raw line count.
     The universe is inferred as 1 + the largest item id seen (0 if empty).
@@ -93,15 +93,21 @@ def load_fimi(source: str | IO[str] | Iterable[str]) -> TransactionDb:
         tokens = line.split()
         if not tokens:
             continue
+        # int() also takes signs, underscores and non-ASCII digits; only a
+        # line that holds one of those needs the per-token check.
+        if not line.isascii() or "-" in line or "+" in line or "_" in line:
+            for tok in tokens:
+                if not (tok.isascii() and tok.isdigit()):
+                    digits = tok[1:]
+                    negative = tok[0] == "-" and digits.isascii() and digits.isdigit()
+                    kind = "negative" if negative else "malformed"
+                    raise FimiFormatError(f"line {lineno}: {kind} item {tok!r}")
         items = set()
         for tok in tokens:
             try:
-                item = int(tok, 10)
+                items.add(int(tok, 10))
             except ValueError:
                 raise FimiFormatError(f"line {lineno}: malformed item {tok!r}") from None
-            if item < 0:
-                raise FimiFormatError(f"line {lineno}: negative item {tok!r}")
-            items.add(item)
         t = tuple(sorted(items))
         max_item = max(max_item, t[-1])
         transactions.append(t)

@@ -79,7 +79,7 @@ class LocalSite:
         self.site_threshold = threshold(minsup, part.size)
         self.universe = part.universe
         self.heavy_prev: set[Itemset] = set()
-        self.local_counts: dict[Itemset, int] = {}
+        self.reported: dict[Itemset, int] = {}
         self.last_candidates: list[Itemset] = []
         self.last_survivors: list[Itemset] = []
 
@@ -93,50 +93,39 @@ class LocalSite:
     def build_report(self, k: int) -> LocalReport:
         """Generate, prune, and count level-k candidates; report the locally
         frequent ones. The report is sent even when empty so the center can
-        tell "nothing frequent" from "no reply"."""
+        tell "nothing frequent" from "no reply". Every (k-1)-subset of a
+        candidate is heavy, so the previous level's ``reported`` holds the
+        bounds ``local_prune`` needs; this level's report replaces it."""
         candidates = self.local_candidates(k)
         if k == 1:
             survivors = candidates
         else:
-            survivors = local_prune(candidates, self.local_counts, self.site_threshold)
+            survivors = local_prune(candidates, self.reported, self.site_threshold)
         counts = self.matrix.support_batch(survivors)
-        self.local_counts.update(zip(survivors, counts))
         self.last_candidates = candidates
         self.last_survivors = survivors
-        entries = tuple(
-            (x, n) for x, n in zip(survivors, counts) if n >= self.site_threshold
+        self.reported = {
+            x: n for x, n in zip(survivors, counts) if n >= self.site_threshold
+        }
+        return LocalReport(
+            site_id=self.site_id, k=k, entries=tuple(self.reported.items())
         )
-        return LocalReport(site_id=self.site_id, k=k, entries=entries)
 
     def handle_count_request(self, req: CountRequest) -> CountResponse:
         """Answer exact local counts from the matrix (no raw rescan)."""
-        counts = []
-        for x in req.itemsets:
-            n = local_support(self.matrix, x)
-            self.local_counts[x] = n
-            counts.append((x, n))
-        return CountResponse(site_id=self.site_id, k=req.k, counts=tuple(counts))
+        counts = tuple((x, local_support(self.matrix, x)) for x in req.itemsets)
+        return CountResponse(site_id=self.site_id, k=req.k, counts=counts)
 
     def update_heavy(self, result: GlobalResult) -> None:
-        """Recompute the heavy set from the level's global result.
+        """Heavy here = globally frequent and reported by this site.
 
-        Counts from this round are reused; only itemsets this site never
-        counted are recounted on the matrix.
+        A globally frequent itemset this site did not report is below its
+        threshold here: either the site counted it and it fell short, or one
+        of its (k-1)-subsets is not heavy here. That subset is globally
+        frequent (so is every subset of a frequent itemset), so it is not
+        locally frequent, and neither is the itemset. No recount is needed.
         """
-        heavy = set()
-        for x, _ in result.frequent:
-            n = self.local_counts.get(x)
-            if n is None:
-                n = local_support(self.matrix, x)
-                self.local_counts[x] = n
-            if n >= self.site_threshold:
-                heavy.add(x)
-        self.heavy_prev = heavy
-
-
-class _Pending(NamedTuple):
-    count: int
-    awaiting: set[int]
+        self.heavy_prev = {x for x, _ in result.frequent if x in self.reported}
 
 
 class AggregationOutcome(NamedTuple):
@@ -154,8 +143,10 @@ class CenterSite:
         self.global_threshold = threshold(minsup, self.total_size)
         self.site_thresholds = [threshold(minsup, d) for d in site_sizes]
         self.level = 0
-        self._immediate: list[tuple[Itemset, int]] = []
-        self._pending: dict[Itemset, _Pending] = {}
+        # This level's immediate and polled itemsets in (length, lex) order,
+        # with their running totals, and the sites each still waits on.
+        self._totals: dict[Itemset, int] = {}
+        self._awaiting: dict[Itemset, set[int]] = {}
 
     def aggregate(self, reports: list[LocalReport]) -> AggregationOutcome:
         """Process one report per site: decide fully reported itemsets on the
@@ -181,36 +172,38 @@ class CenterSite:
 
         immediate: list[tuple[Itemset, int]] = []
         pruned: list[Itemset] = []
-        pending: dict[Itemset, _Pending] = {}
+        wanted: dict[int, list[Itemset]] = {}
+        self._totals = {}
+        self._awaiting = {}
         for x in sorted(origins, key=itemset_key):
             counts = origins[x]
             reported = sum(counts.values())
-            if len(counts) == self.n_sites:
-                immediate.append((x, reported))
-                continue
             silent = [i for i in range(self.n_sites) if i not in counts]
             max_count = reported + sum(self.site_thresholds[i] - 1 for i in silent)
             if max_count < self.global_threshold:
                 pruned.append(x)
+                continue
+            if silent:
+                self._awaiting[x] = set(silent)
+                for i in silent:
+                    wanted.setdefault(i, []).append(x)
             else:
-                pending[x] = _Pending(count=reported, awaiting=set(silent))
+                immediate.append((x, reported))
+            self._totals[x] = reported
 
-        requests: dict[int, CountRequest] = {}
-        for i in range(self.n_sites):
-            wanted = tuple(
-                x for x in sorted(pending, key=itemset_key) if i in pending[x].awaiting
-            )
-            if wanted:
-                requests[i] = CountRequest(k=k, itemsets=wanted)
-        self._immediate = immediate
-        self._pending = pending
+        requests = {
+            i: CountRequest(k=k, itemsets=tuple(wanted[i])) for i in sorted(wanted)
+        }
         return AggregationOutcome(immediate, pruned, requests)
 
     def finalize(self, responses: list[CountResponse]) -> GlobalResult:
         """Fold poll responses into totals and close the level.
 
-        The loop continues only if the level produced more frequent itemsets
-        than its own size k (any (k+1)-itemset needs k+1 frequent k-subsets).
+        The frequent itemsets are the totals that reach the global threshold,
+        already in (length, lex) order; fully reported ones always do, since
+        the sum of the site thresholds is at least the global one. The loop
+        continues only if the level produced more frequent itemsets than its
+        own size k (any (k+1)-itemset needs k+1 frequent k-subsets).
         """
         for resp in responses:
             if resp.k != self.level:
@@ -218,29 +211,25 @@ class CenterSite:
                     f"response for level {resp.k} during level {self.level}"
                 )
             for x, n in resp.counts:
-                pend = self._pending.get(x)
-                if pend is None or resp.site_id not in pend.awaiting:
+                awaiting = self._awaiting.get(x)
+                if awaiting is None or resp.site_id not in awaiting:
                     raise ProtocolError(
                         f"site {resp.site_id} answered unrequested itemset {x!r}"
                     )
-                pend.awaiting.discard(resp.site_id)
-                self._pending[x] = _Pending(pend.count + n, pend.awaiting)
-        still_waiting = [x for x, p in self._pending.items() if p.awaiting]
+                awaiting.discard(resp.site_id)
+                self._totals[x] += n
+        still_waiting = [x for x, a in self._awaiting.items() if a]
         if still_waiting:
             raise ProtocolError(f"missing count responses for {still_waiting!r}")
 
-        frequent = list(self._immediate)
-        frequent.extend(
-            (x, p.count)
-            for x, p in self._pending.items()
-            if p.count >= self.global_threshold
+        frequent = tuple(
+            (x, n) for x, n in self._totals.items() if n >= self.global_threshold
         )
-        frequent.sort(key=lambda e: itemset_key(e[0]))
-        self._immediate = []
-        self._pending = {}
+        self._totals = {}
+        self._awaiting = {}
         return GlobalResult(
             k=self.level,
-            frequent=tuple(frequent),
+            frequent=frequent,
             continue_flag=len(frequent) > self.level,
         )
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -11,6 +12,12 @@ import distmine
 from distmine.cli import main
 
 MARKET_LABELS = '{"1":"Coffee","2":"Tea","3":"Milk","5":"Butter"}'
+
+# A run that polls and prunes by the max-count bound, for pinned-byte tests.
+PINNED_RUN = (
+    "--synthetic", "T=4,I=20,D=500,seed=4", "--sites", "5",
+    "--partition", "random:7", "--minsup", "0.05",
+)  # fmt: skip
 
 
 @pytest.fixture
@@ -178,6 +185,32 @@ class TestRun:
         obj = json.loads(capsys.readouterr().out)
         assert obj["db_size"] == 60
 
+    @pytest.mark.parametrize(
+        "algorithm, digest",
+        [
+            ("improved", "bd940360ac72548886d8dd62d68c40d8688551e56d342ff8ceb770c368cca28c"),
+            ("cd", "f376e37aeb5a0ecb36ab1440aae07d9bedc96cc55f8711fa5ea7a384434a53d8"),
+        ],
+    )
+    def test_pinned_output_bytes(self, algorithm, digest, tmp_path):
+        # SHA-256 of result JSON + metrics CSV + trace, concatenated
+        paths = [tmp_path / name for name in ("r.json", "m.csv", "t.jsonl")]
+        status = run_cli(
+            *PINNED_RUN, "--algorithm", algorithm,
+            "--out", paths[0], "--metrics", paths[1], "--trace", paths[2],
+        )  # fmt: skip
+        assert status == 0
+        data = b"".join(p.read_bytes() for p in paths)
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_pinned_run_polls_and_prunes(self):
+        db = distmine.generate_synthetic(500, 20, 4, seed=4)
+        parts = distmine.partition(db, distmine.PartitionSpec(5, "random", 7))
+        run = distmine.ImprovedRun(parts, "0.05")
+        run.run()
+        polls = sum(rec.type == "CountRequest" for rec in run.log.trace)
+        assert (polls, len(run.maxcount_pruned)) == (13, 60)
+
 
 class TestErrors:
     def test_no_source(self, capsys):
@@ -297,3 +330,29 @@ class TestSweep:
         small = generate_synthetic(100, 12, 3, seed=5)
         large = generate_synthetic(200, 12, 3, seed=5)
         assert large.transactions[:100] == small.transactions
+
+    def test_sweep_generates_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = distmine.cli.generate_synthetic
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(distmine.cli, "generate_synthetic", counting)
+        status = run_cli(
+            "--synthetic", "T=3,I=12,D=50,seed=5", "--sites", "2",
+            "--algorithm", "improved,cd,sequential",
+            "--sweep-minsups", "0.6,0.4", "--sweep-sizes", "100,200,150",
+            "--metrics", tmp_path / "sweep.csv",
+        )
+        assert status == 0
+        assert calls == [(200, 12, 3, 5)]
+
+    def test_sweep_rejects_negative_size(self, tmp_path):
+        status = run_cli(
+            "--synthetic", "T=3,I=12,D=50,seed=5", "--algorithm", "cd",
+            "--sweep-minsups", "0.5", "--sweep-sizes", "100,-1",
+            "--metrics", tmp_path / "sweep.csv",
+        )
+        assert status == 2

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,25 @@ class TestLoadFimi:
     def test_negative_item_rejected(self):
         with pytest.raises(FimiFormatError, match="line 1"):
             load_fimi("-3 2\n")
+
+    @pytest.mark.parametrize(
+        "tok, kind",
+        [
+            ("1_0", "malformed"),
+            ("+3", "malformed"),
+            ("-0", "negative"),
+            ("-3", "negative"),
+            ("\u0663", "malformed"),  # Arabic-Indic digit three
+            ("\uff17", "malformed"),  # fullwidth digit seven
+        ],
+    )
+    def test_only_ascii_digits_accepted(self, tok, kind):
+        message = re.escape(f"line 2: {kind} item {tok!r}")
+        with pytest.raises(FimiFormatError, match=message):
+            load_fimi(f"1 2\n4 {tok} 5\n")
+
+    def test_non_ascii_whitespace_still_separates(self):
+        assert load_fimi("3\u00a01\n").transactions == ((1, 3),)
 
     def test_roundtrip_through_serialization(self):
         for text in (MARKET_FIMI, "", "0\n", "5 1 5 9\n2\n"):

@@ -109,14 +109,27 @@ class TestLocalSite:
         site.update_heavy(GlobalResult(k=1, frequent=(), continue_flag=False))
         assert site.heavy_prev == set()
 
-    def test_update_heavy_recounts_unseen_itemsets(self, market_sites):
-        # feed a result the site never counted; it must recount on the matrix
+    def test_update_heavy_ignores_unreported_itemsets(self, market_sites):
+        # heavy = reported here and globally frequent: an itemset the site
+        # never reported is not heavy, and nothing is recounted for it
         site = market_sites[0]
         result = GlobalResult(k=1, frequent=(((B,), 2),), continue_flag=True)
         site.update_heavy(result)
-        assert site.local_counts[(B,)] == 2
-        assert site.heavy_prev == {(B,)}
+        assert site.heavy_prev == set()
         assert site.scan_counter.raw_scans == 1
+
+    def test_update_heavy_needs_no_matrix(self, market_sites):
+        site = market_sites[1]
+        site.build_report(1)
+        site.matrix = None
+        site.update_heavy(
+            GlobalResult(
+                k=1,
+                frequent=(((A,), 3), ((B,), 2), ((C,), 2), ((E,), 2)),
+                continue_flag=True,
+            )
+        )
+        assert site.heavy_prev == {(A,), (C,), (E,)}
 
     def test_rejects_empty_partition(self):
         from distmine.dataset import TransactionDb
@@ -155,7 +168,7 @@ class TestLocalPrune:
             )
         )
         cands = site.local_candidates(2)
-        assert local_prune(cands, site.local_counts, site.site_threshold) == cands
+        assert local_prune(cands, site.reported, site.site_threshold) == cands
 
 
 class TestCenterSite:
