@@ -9,7 +9,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .count_distribution import CountDistributionRun
@@ -22,7 +21,7 @@ from .dataset import (
     load_fimi,
     partition,
 )
-from .miner import MiningResult, RoundMetrics, run_sequential
+from .miner import MiningResult, RoundMetrics, parse_minsup, run_sequential
 from .protocol import ImprovedRun
 
 ALGORITHMS = ("improved", "cd", "sequential")
@@ -41,59 +40,31 @@ class ConfigError(ValueError):
     """Invalid flag combination or malformed flag value."""
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
-    avg_len: int
-    n_items: int
-    n_transactions: int
-    seed: int = 0
-
-    def generate(self, n_transactions: int | None = None) -> TransactionDb:
-        size = self.n_transactions if n_transactions is None else n_transactions
-        return generate_synthetic(size, self.n_items, self.avg_len, self.seed)
+def _is_digits(text: str) -> bool:
+    """ASCII decimal digits only: no sign, no ``_``, no other scripts' digits."""
+    return text.isascii() and text.isdigit()
 
 
-@dataclass
-class RunConfig:
-    """Everything one invocation needs; exactly one data source is set."""
-
-    input_path: Path | None = None
-    synthetic: SyntheticSpec | None = None
-    minsup: str | None = None
-    n_sites: int = 1
-    partition_strategy: str = "contiguous"
-    partition_seed: int = 0
-    algorithms: list[str] = field(default_factory=list)
-    out_path: Path | None = None
-    metrics_path: Path | None = None
-    trace_path: Path | None = None
-    labels_path: Path | None = None
-    count_colocated_messages: bool = True
-    sweep_minsups: list[str] = field(default_factory=list)
-    sweep_sizes: list[int] = field(default_factory=list)
-
-
-def parse_synthetic(text: str) -> SyntheticSpec:
-    """Parse "T=<avg_len>,I=<items>,D=<txns>,seed=<u64>" (seed optional)."""
+def parse_synthetic(text: str) -> tuple[int, int, int, int]:
+    """Parse "T=<avg_len>,I=<items>,D=<txns>,seed=<u64>" (seed optional) into
+    ``generate_synthetic``'s arguments (D, I, T, seed)."""
     fields = {}
     for part in text.split(","):
         key, sep, value = part.partition("=")
         key = key.strip()
         if not sep or key not in ("T", "I", "D", "seed"):
             raise ConfigError(f"bad --synthetic field {part!r}")
-        try:
-            fields[key] = int(value)
-        except ValueError:
-            raise ConfigError(f"bad --synthetic value {part!r}") from None
+        if key in fields:
+            raise ConfigError(f"--synthetic repeats field {key!r}")
+        if not _is_digits(value):
+            raise ConfigError(f"bad --synthetic value {part!r}")
+        fields[key] = int(value)
     missing = {"T", "I", "D"} - fields.keys()
     if missing:
         raise ConfigError(f"--synthetic is missing {sorted(missing)}")
-    return SyntheticSpec(
-        avg_len=fields["T"],
-        n_items=fields["I"],
-        n_transactions=fields["D"],
-        seed=fields.get("seed", 0),
-    )
+    if not 1 <= fields["T"] <= fields["I"]:
+        raise ConfigError(f"--synthetic needs 1 <= T <= I, got {text!r}")
+    return fields["D"], fields["I"], fields["T"], fields.get("seed", 0)
 
 
 def parse_partition(text: str) -> tuple[str, int]:
@@ -103,17 +74,14 @@ def parse_partition(text: str) -> tuple[str, int]:
         raise ConfigError(f"unknown partition strategy {name!r}")
     if sep and strategy != "random":
         raise ConfigError(f"only random takes a seed, got {text!r}")
-    seed = 0
-    if sep:
-        try:
-            seed = int(seed_text)
-        except ValueError:
-            raise ConfigError(f"bad partition seed {seed_text!r}") from None
-    return strategy, seed
+    if sep and not _is_digits(seed_text):
+        raise ConfigError(f"bad partition seed {seed_text!r}")
+    return strategy, int(seed_text) if sep else 0
 
 
 def load_labels(path: Path) -> dict[int, str]:
-    """Read an item-id -> name map from a JSON object with string-int keys."""
+    """Read an item-id -> name map from a JSON object whose keys are item ids
+    in ASCII decimal digits; two keys may not name the same item."""
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
@@ -122,12 +90,14 @@ def load_labels(path: Path) -> dict[int, str]:
         raise FimiFormatError(f"labels file {path}: expected a JSON object")
     labels = {}
     for key, value in raw.items():
-        try:
-            labels[int(key)] = str(value)
-        except ValueError:
+        if not _is_digits(key):
+            raise FimiFormatError(f"labels file {path}: malformed item id {key!r}")
+        item = int(key)
+        if item in labels:
             raise FimiFormatError(
-                f"labels file {path}: non-integer item id {key!r}"
-            ) from None
+                f"labels file {path}: item id {key!r} names item {item} again"
+            )
+        labels[item] = str(value)
     return labels
 
 
@@ -173,24 +143,25 @@ def _metrics_cells(m: RoundMetrics) -> str:
 def _execute(
     algorithm: str,
     db: TransactionDb,
-    config: RunConfig,
+    args: argparse.Namespace,
     minsup: str,
 ) -> tuple[MiningResult, list[RoundMetrics], list]:
     """Run one algorithm; returns (result, metrics, trace records)."""
+    try:
+        parse_minsup(minsup)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
     if algorithm == "sequential":
         result, metrics = run_sequential(db, minsup)
         return result, metrics, []
-    parts = partition(
-        db,
-        PartitionSpec(
-            n_sites=config.n_sites,
-            strategy=config.partition_strategy,
-            seed=config.partition_seed,
-        ),
-    )
+    if db.size < args.sites:
+        raise ConfigError(
+            f"cannot partition {db.size} transactions across {args.sites} sites"
+        )
+    parts = partition(db, PartitionSpec(args.sites, *args.partition))
     if algorithm == "improved":
         run_state = ImprovedRun(
-            parts, minsup, count_colocated_messages=config.count_colocated_messages
+            parts, minsup, count_colocated_messages=args.count_colocated_messages
         )
     else:
         run_state = CountDistributionRun(parts, minsup)
@@ -198,66 +169,63 @@ def _execute(
     return result, run_state.metrics, run_state.log.trace
 
 
-def _load_db(config: RunConfig) -> TransactionDb:
-    if config.input_path is not None:
-        return load_fimi(config.input_path.read_text(encoding="utf-8"))
-    assert config.synthetic is not None
-    return config.synthetic.generate()
-
-
-def run(config: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     """Single mining run: write result JSON (file or stdout), optional
     metrics CSV (per-round rows, empty wall_ms) and optional trace."""
-    if len(config.algorithms) != 1:
+    if len(args.algorithm) != 1:
         raise ConfigError("run mode takes exactly one --algorithm")
-    if config.minsup is None:
+    if args.minsup is None:
         raise ConfigError("--minsup is required")
-    algorithm = config.algorithms[0]
-    labels = load_labels(config.labels_path) if config.labels_path else None
+    algorithm = args.algorithm[0]
+    labels = load_labels(args.labels) if args.labels else None
 
-    db = _load_db(config)
-    result, metrics, trace = _execute(algorithm, db, config, config.minsup)
+    if args.input is not None:
+        db = load_fimi(args.input.read_text(encoding="utf-8"))
+    else:
+        db = generate_synthetic(*args.synthetic)
+    result, metrics, trace = _execute(algorithm, db, args, args.minsup)
 
-    json_text = result_to_json(result, config.minsup, labels)
-    if config.out_path is not None:
-        config.out_path.write_text(json_text + "\n", encoding="utf-8")
+    json_text = result_to_json(result, args.minsup, labels)
+    if args.out is not None:
+        args.out.write_text(json_text + "\n", encoding="utf-8")
     else:
         print(json_text)
-    if config.metrics_path is not None:
+    if args.metrics is not None:
         lines = [RUN_METRICS_HEADER]
         lines += [f"{algorithm},{_metrics_cells(m)}," for m in metrics]
-        config.metrics_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    if config.trace_path is not None:
-        config.trace_path.write_text(
+        args.metrics.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if args.trace is not None:
+        args.trace.write_text(
             "".join(rec.to_json() + "\n" for rec in trace), encoding="utf-8"
         )
     return 0
 
 
-def sweep(config: RunConfig) -> int:
+def sweep(args: argparse.Namespace) -> int:
     """Grid of (algorithm, minsup, size) runs over one seeded synthetic
     database, generated once at the largest size; smaller sizes are its
     prefixes, as ``generate_synthetic`` would give them. Emits per-round
     rows plus one summary row (with wall-clock ms) per grid point."""
-    if config.synthetic is None:
+    if args.synthetic is None:
         raise ConfigError("sweep mode requires --synthetic")
-    if not config.algorithms:
+    if not args.algorithm:
         raise ConfigError("sweep mode needs at least one --algorithm")
-    minsups = config.sweep_minsups or ([config.minsup] if config.minsup else [])
+    minsups = args.sweep_minsups or ([args.minsup] if args.minsup else [])
     if not minsups:
         raise ConfigError("sweep mode needs --sweep-minsups or --minsup")
-    sizes = config.sweep_sizes or [config.synthetic.n_transactions]
+    n_transactions, *params = args.synthetic
+    sizes = args.sweep_sizes or [n_transactions]
     if min(sizes) < 0:
         raise ConfigError(f"database sizes must be >= 0, got {min(sizes)}")
-    full = config.synthetic.generate(max(sizes))
+    full = generate_synthetic(max(sizes), *params)
     dbs = {n: TransactionDb(full.transactions[:n], full.universe) for n in sizes}
 
     lines = [SWEEP_METRICS_HEADER]
-    for algorithm in config.algorithms:
+    for algorithm in args.algorithm:
         for minsup in minsups:
             for size in sizes:
                 start = time.perf_counter()
-                _, metrics, _ = _execute(algorithm, dbs[size], config, minsup)
+                _, metrics, _ = _execute(algorithm, dbs[size], args, minsup)
                 wall_ms = (time.perf_counter() - start) * 1000.0
                 prefix = f"{algorithm},{minsup},{size}"
                 lines += [f"{prefix},{_metrics_cells(m)}," for m in metrics]
@@ -265,8 +233,8 @@ def sweep(config: RunConfig) -> int:
                 summary = ",".join(str(sum(r[i] for r in rows)) for i in range(6))
                 lines.append(f"{prefix},summary,{summary},{wall_ms:.3f}")
     text = "\n".join(lines) + "\n"
-    if config.metrics_path is not None:
-        config.metrics_path.write_text(text, encoding="utf-8")
+    if args.metrics is not None:
+        args.metrics.write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return 0
@@ -317,66 +285,51 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
+def _check_args(args: argparse.Namespace) -> None:
+    """Check the flags and replace their compound values in ``args`` with
+    the parsed forms that ``run`` and ``sweep`` read."""
     if (args.input is None) == (args.synthetic is None):
         raise ConfigError("exactly one of --input or --synthetic is required")
     if args.algorithm is None:
         raise ConfigError("--algorithm is required")
-    algorithms = [a.strip() for a in args.algorithm.split(",") if a.strip()]
-    for a in algorithms:
+    args.algorithm = [a.strip() for a in args.algorithm.split(",") if a.strip()]
+    for a in args.algorithm:
         if a not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {a!r}")
-    strategy, seed = parse_partition(args.partition)
+    args.partition = parse_partition(args.partition)
     if args.sites < 1:
         raise ConfigError("--sites must be >= 1")
 
-    sweep_minsups = []
-    if args.sweep_minsups:
-        sweep_minsups = [s.strip() for s in args.sweep_minsups.split(",") if s.strip()]
-    sweep_sizes = []
-    if args.sweep_sizes:
-        try:
-            sweep_sizes = [int(s) for s in args.sweep_sizes.split(",") if s.strip()]
-        except ValueError:
-            raise ConfigError(f"bad --sweep-sizes {args.sweep_sizes!r}") from None
-
-    return RunConfig(
-        input_path=args.input,
-        synthetic=parse_synthetic(args.synthetic) if args.synthetic else None,
-        minsup=args.minsup,
-        n_sites=args.sites,
-        partition_strategy=strategy,
-        partition_seed=seed,
-        algorithms=algorithms,
-        out_path=args.out,
-        metrics_path=args.metrics,
-        trace_path=args.trace,
-        labels_path=args.labels,
-        count_colocated_messages=args.count_colocated_messages == "true",
-        sweep_minsups=sweep_minsups,
-        sweep_sizes=sweep_sizes,
-    )
+    args.sweep_minsups = [
+        s.strip() for s in (args.sweep_minsups or "").split(",") if s.strip()
+    ]
+    try:
+        args.sweep_sizes = [
+            int(s) for s in (args.sweep_sizes or "").split(",") if s.strip()
+        ]
+    except ValueError:
+        raise ConfigError(f"bad --sweep-sizes {args.sweep_sizes!r}") from None
+    if args.synthetic:
+        args.synthetic = parse_synthetic(args.synthetic)
+    args.count_colocated_messages = args.count_colocated_messages == "true"
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        if config.sweep_minsups or config.sweep_sizes:
-            return sweep(config)
-        return run(config)
+        _check_args(args)
+        if args.sweep_minsups or args.sweep_sizes:
+            return sweep(args)
+        return run(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except FimiFormatError as err:
+    except (FimiFormatError, UnicodeDecodeError) as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 3
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return 4
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

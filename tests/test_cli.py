@@ -190,6 +190,7 @@ class TestRun:
         [
             ("improved", "bd940360ac72548886d8dd62d68c40d8688551e56d342ff8ceb770c368cca28c"),
             ("cd", "f376e37aeb5a0ecb36ab1440aae07d9bedc96cc55f8711fa5ea7a384434a53d8"),
+            ("sequential", "b23be5ddd040878e227daedd3b413d5660d2d8f612a260f99db9d1e347abee32"),
         ],
     )
     def test_pinned_output_bytes(self, algorithm, digest, tmp_path):
@@ -270,6 +271,75 @@ class TestErrors:
             )
             == 2
         )
+        # values are ASCII digits only, no field may repeat, and
+        # generate_synthetic's own limits are config errors
+        for spec in (
+            "T=4,T=5,I=20,D=100,seed=1",
+            "T=4,I=+20,D=100",
+            "T=4,I=20,D=1_00",
+            "T=4,I=20,D=100,seed=-1",
+            "T=4,I=٢٠,D=100",
+            "T=0,I=12,D=50",
+            "T=13,I=12,D=50",
+            "T=1,I=0,D=50",
+        ):
+            status = run_cli(
+                "--synthetic", spec, "--minsup", "0.2", "--algorithm", "sequential"
+            )
+            assert status == 2, spec
+            assert capsys.readouterr().err.startswith("config error: "), spec
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("--minsup", "5", "--algorithm", "sequential"),
+            ("--minsup", "0.5", "--algorithm", "improved", "--sites", "4"),
+            ("--minsup", "0.5", "--algorithm", "cd", "--sites", "2",
+             "--partition", "random:-1"),
+            ("--minsup", "0.5", "--algorithm", "cd", "--sweep-minsups", "0.5,7"),
+        ],
+    )  # fmt: skip
+    def test_bad_user_values_are_config_errors(self, extra, capsys):
+        # a 3-transaction database, so 4 sites are too many
+        assert run_cli("--synthetic", "T=2,I=5,D=3,seed=1", *extra) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_internal_value_error_propagates(self, market_file, monkeypatch):
+        # a ValueError from inside the program is a bug, not a config error
+        def broken(*args):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(distmine.cli, "run_sequential", broken)
+        with pytest.raises(ValueError, match="internal"):
+            run_cli("--input", market_file, "--minsup", "0.5", "--algorithm", "sequential")
+
+    def test_non_utf8_input(self, tmp_path, capsys):
+        bad = tmp_path / "bad.dat"
+        bad.write_bytes(b"1 2\n\xff 3\n")
+        status = run_cli("--input", bad, "--minsup", "0.5", "--algorithm", "sequential")
+        assert status == 3
+        assert "parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "labels_json, key",
+        [
+            ('{"+1":"A"}', "+1"),
+            ('{" 2 ":"A"}', " 2 "),
+            ('{"\u0663":"A"}', "\u0663"),
+            ('{"1_0":"A"}', "1_0"),
+            ('{"-1":"A"}', "-1"),
+            ('{"1":"A","01":"B"}', "01"),
+        ],
+    )
+    def test_bad_labels_key(self, market_file, tmp_path, capsys, labels_json, key):
+        labels = tmp_path / "labels.json"
+        labels.write_text(labels_json, encoding="utf-8")
+        status = run_cli(
+            "--input", market_file, "--minsup", "0.5",
+            "--algorithm", "sequential", "--labels", labels,
+        )  # fmt: skip
+        assert status == 3
+        assert repr(key) in capsys.readouterr().err
 
     def test_bad_partition_spec(self, market_file, capsys):
         assert (
@@ -348,6 +418,22 @@ class TestSweep:
         )
         assert status == 0
         assert calls == [(200, 12, 3, 5)]
+
+    def test_pinned_sweep_bytes(self, tmp_path):
+        # SHA-256 of the sweep CSV with its last column (wall_ms) cut
+        metrics = tmp_path / "sweep.csv"
+        status = run_cli(
+            "--synthetic", "T=4,I=20,D=500,seed=3",
+            "--algorithm", "improved,cd,sequential",
+            "--sweep-minsups", "0.1,0.05", "--sweep-sizes", "200,500",
+            "--sites", "2", "--metrics", metrics,
+        )  # fmt: skip
+        assert status == 0
+        lines = metrics.read_text().splitlines()
+        cut = "".join(line.rsplit(",", 1)[0] + "\n" for line in lines)
+        assert hashlib.sha256(cut.encode()).hexdigest() == (
+            "27b72cdf5eaf43ac2acc66f2311b8dae254ad58ca0eb99fa3e526c8b10dea680"
+        )
 
     def test_sweep_rejects_negative_size(self, tmp_path):
         status = run_cli(
