@@ -79,12 +79,25 @@ def parse_partition(text: str) -> tuple[str, int]:
     return strategy, int(seed_text) if sep else 0
 
 
+def _reject_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``json.loads`` hook: an object may not name a key twice."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise FimiFormatError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_labels(path: Path) -> dict[int, str]:
     """Read an item-id -> name map from a JSON object whose keys are item ids
-    in ASCII decimal digits; two keys may not name the same item."""
+    in ASCII decimal digits; no key may repeat and two keys may not name the
+    same item."""
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
+        raw = json.loads(
+            path.read_text(encoding="utf-8"), object_pairs_hook=_reject_repeated_keys
+        )
+    except (json.JSONDecodeError, FimiFormatError) as err:
         raise FimiFormatError(f"labels file {path}: {err}") from None
     if not isinstance(raw, dict):
         raise FimiFormatError(f"labels file {path}: expected a JSON object")
@@ -215,8 +228,6 @@ def sweep(args: argparse.Namespace) -> int:
         raise ConfigError("sweep mode needs --sweep-minsups or --minsup")
     n_transactions, *params = args.synthetic
     sizes = args.sweep_sizes or [n_transactions]
-    if min(sizes) < 0:
-        raise ConfigError(f"database sizes must be >= 0, got {min(sizes)}")
     full = generate_synthetic(max(sizes), *params)
     dbs = {n: TransactionDb(full.transactions[:n], full.universe) for n in sizes}
 
@@ -253,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="generate a seeded synthetic database instead of reading a file",
     )
     parser.add_argument("--minsup", help="minimum support, e.g. 0.4 or 2/3")
-    parser.add_argument("--sites", type=int, default=1, help="number of sites")
+    parser.add_argument("--sites", default="1", help="number of sites")
     parser.add_argument(
         "--partition",
         default="contiguous",
@@ -297,18 +308,19 @@ def _check_args(args: argparse.Namespace) -> None:
         if a not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {a!r}")
     args.partition = parse_partition(args.partition)
-    if args.sites < 1:
-        raise ConfigError("--sites must be >= 1")
+    if not _is_digits(args.sites) or int(args.sites) < 1:
+        raise ConfigError(f"--sites must be a whole number >= 1, got {args.sites!r}")
+    args.sites = int(args.sites)
 
     args.sweep_minsups = [
         s.strip() for s in (args.sweep_minsups or "").split(",") if s.strip()
     ]
-    try:
-        args.sweep_sizes = [
-            int(s) for s in (args.sweep_sizes or "").split(",") if s.strip()
-        ]
-    except ValueError:
-        raise ConfigError(f"bad --sweep-sizes {args.sweep_sizes!r}") from None
+    sizes = [s.strip() for s in (args.sweep_sizes or "").split(",") if s.strip()]
+    if not all(map(_is_digits, sizes)):
+        raise ConfigError(f"bad --sweep-sizes {args.sweep_sizes!r}")
+    args.sweep_sizes = [int(s) for s in sizes]
+    if len(set(args.sweep_sizes)) < len(args.sweep_sizes):
+        raise ConfigError(f"--sweep-sizes repeats a size: {args.sweep_sizes}")
     if args.synthetic:
         args.synthetic = parse_synthetic(args.synthetic)
     args.count_colocated_messages = args.count_colocated_messages == "true"

@@ -12,7 +12,6 @@ from .dataset import Itemset, TransactionDb
 from .lmatrix import LMatrix, ScanCounter
 from .messages import LocalReport, MessageLog
 from .miner import MiningResult, RoundMetrics, apriori_gen, parse_minsup, threshold
-from .protocol import local_support
 
 
 class CountDistributionRun:
@@ -44,19 +43,17 @@ class CountDistributionRun:
         k = 1
         while candidates:
             msgs0, bytes0 = self.log.messages_sent, self.log.payload_bytes
-            vectors = [
-                [local_support(m, x) for x in candidates] for m in self.matrices
-            ]
+            vectors = [m.count(candidates) for m in self.matrices]
             for i in range(n):
                 report = LocalReport(
                     site_id=i,
                     k=k,
-                    entries=tuple(zip(candidates, vectors[i])),
+                    entries=tuple(zip(candidates, vectors[i].tolist())),
                 )
                 for j in range(n):
                     if j != i:
                         self.log.send(f"site:{i}", f"site:{j}", report)
-            totals = [sum(v[c] for v in vectors) for c in range(len(candidates))]
+            totals = sum(vectors).tolist()
             level = {
                 x: t
                 for x, t in zip(candidates, totals)

@@ -2,7 +2,10 @@
 
 The matrix is built from a database in a single scan; afterwards every
 support query is answered by intersecting item columns and popcounting,
-never by re-reading raw transactions.
+never by re-reading raw transactions. ``LMatrix.count`` is the counting
+path of all three miners: it answers a whole level of candidates at once and
+intersects each shared (k-1)-prefix only once. ``support`` answers a single
+itemset.
 """
 
 from __future__ import annotations
@@ -78,6 +81,39 @@ class LMatrix:
             if not acc.any():
                 return 0
         return int(np.bitwise_count(acc).sum())
+
+    def count(self, itemsets) -> np.ndarray:
+        """Supports of equal-length itemsets, in input order, as int64.
+
+        Consecutive itemsets with the same (k-1)-prefix form a run: the
+        prefix columns are ANDed once, and the run's last-item columns are
+        gathered, ANDed with that and popcounted in one step. At k=1 the
+        prefix is empty, its AND all ones, and the level one gather. Sorted
+        input shares the most prefixes; any order gives the same counts.
+        Items outside ``[0, n_cols)`` occur in no transaction here, so an
+        itemset holding one counts 0. Empty or mixed-length itemsets raise
+        ValueError.
+        """
+        counts = np.zeros(len(itemsets), dtype=np.int64)
+        if not len(itemsets):
+            return counts
+        rows = np.array(itemsets, dtype=np.int64)
+        if rows.ndim != 2 or rows.shape[1] == 0:
+            raise ValueError("count takes non-empty itemsets of one length")
+        known = ((rows >= 0) & (rows < self.n_cols)).all(axis=1)
+        rows = rows[known]
+        found = np.zeros(len(rows), dtype=np.int64)
+        prefixes = rows[:, :-1]
+        new_run = np.ones(len(rows), dtype=bool)
+        new_run[1:] = (prefixes[1:] != prefixes[:-1]).any(axis=1)
+        bounds = np.append(np.flatnonzero(new_run), len(rows)).tolist()
+        for s, e in zip(bounds, bounds[1:]):
+            acc = np.bitwise_and.reduce(self._words[prefixes[s]], axis=0)
+            if acc.any():
+                last = self._words[rows[s:e, -1]]
+                found[s:e] = np.bitwise_count(last & acc).sum(axis=1)
+        counts[known] = found
+        return counts
 
     def support_batch(self, itemsets: list[Itemset]) -> list[int]:
         """Map support() over ``itemsets``; errors name the offending index."""

@@ -7,6 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .dataset import Itemset, TransactionDb
 from .lmatrix import LMatrix, ScanCounter
 
@@ -67,18 +69,27 @@ def apriori_gen(prev_frequent) -> list[Itemset]:
     k = len(prev[0])
     if k < 1 or len(prev[-1]) != k or any(len(x) != k for x in prev):
         raise ValueError("apriori_gen input must be non-empty itemsets of one length")
-    prev_set = set(prev)
-    out: list[Itemset] = []
-    for i, a in enumerate(prev):
-        for b in prev[i + 1 :]:
-            if a[:-1] != b[:-1]:
-                break
-            cand = a + (b[-1],)
-            # Dropping either of the two joined positions gives a or b, which
-            # are present by construction; check the remaining k-1 subsets.
-            if all(cand[:j] + cand[j + 1 :] in prev_set for j in range(k - 1)):
-                out.append(cand)
-    return out
+    rows = np.array(prev, dtype=np.int64)
+    # Sorted rows with one (k-1)-prefix are consecutive; every pair (i, j),
+    # i < j, inside such a run joins, in lexicographic order of the result.
+    n = len(rows)
+    new_run = np.ones(n, dtype=bool)
+    new_run[1:] = (rows[1:, :-1] != rows[:-1, :-1]).any(axis=1)
+    run_end = np.append(np.flatnonzero(new_run)[1:], n)[np.cumsum(new_run) - 1]
+    partners = run_end - np.arange(1, n + 1)
+    left = np.repeat(np.arange(n), partners)
+    first_pair = np.repeat(np.cumsum(partners) - partners, partners)
+    right = left + 1 + np.arange(len(left)) - first_pair
+    cand = np.concatenate((rows[left], rows[right, -1:]), axis=1)
+    # Dropping either of the two joined positions gives a or b, which are
+    # present by construction; check the remaining k-1 subsets. The rows are
+    # compared as raw bytes, which no item id range can overflow.
+    as_bytes = np.dtype((np.void, 8 * k))
+    known = rows.view(as_bytes).ravel()
+    for j in range(k - 1):
+        subsets = np.delete(cand, j, axis=1)
+        cand = cand[np.isin(subsets.view(as_bytes).ravel(), known)]
+    return list(zip(*cand.T.tolist()))
 
 
 @dataclass(frozen=True)
@@ -139,7 +150,7 @@ def run_sequential(
         matrix = LMatrix.from_db(db, ScanCounter())
         candidates: list[Itemset] = [(i,) for i in range(db.universe)]
         while candidates:
-            counts = matrix.support_batch(candidates)
+            counts = matrix.count(candidates).tolist()
             level = {x: n for x, n in zip(candidates, counts) if n >= thr}
             frequent.update(level)
             metrics.append(

@@ -78,6 +78,7 @@ class LocalSite:
         self.size = part.size
         self.site_threshold = threshold(minsup, part.size)
         self.universe = part.universe
+        self.level = 1  # of the last report; messages must match it
         self.heavy_prev: set[Itemset] = set()
         self.reported: dict[Itemset, int] = {}
         self.last_candidates: list[Itemset] = []
@@ -101,7 +102,8 @@ class LocalSite:
             survivors = candidates
         else:
             survivors = local_prune(candidates, self.reported, self.site_threshold)
-        counts = self.matrix.support_batch(survivors)
+        counts = self.matrix.count(survivors).tolist()
+        self.level = k
         self.last_candidates = candidates
         self.last_survivors = survivors
         self.reported = {
@@ -111,9 +113,16 @@ class LocalSite:
             site_id=self.site_id, k=k, entries=tuple(self.reported.items())
         )
 
+    def _check_level(self, what: str, k: int) -> None:
+        if k != self.level:
+            raise ProtocolError(
+                f"site {self.site_id}: {what} for level {k} during level {self.level}"
+            )
+
     def handle_count_request(self, req: CountRequest) -> CountResponse:
         """Answer exact local counts from the matrix (no raw rescan)."""
-        counts = tuple((x, local_support(self.matrix, x)) for x in req.itemsets)
+        self._check_level("count request", req.k)
+        counts = tuple(zip(req.itemsets, self.matrix.count(req.itemsets).tolist()))
         return CountResponse(site_id=self.site_id, k=req.k, counts=counts)
 
     def update_heavy(self, result: GlobalResult) -> None:
@@ -125,6 +134,7 @@ class LocalSite:
         frequent (so is every subset of a frequent itemset), so it is not
         locally frequent, and neither is the itemset. No recount is needed.
         """
+        self._check_level("global result", result.k)
         self.heavy_prev = {x for x, _ in result.frequent if x in self.reported}
 
 

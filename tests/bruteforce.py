@@ -42,3 +42,17 @@ def enumerate_frequent(db, minsup) -> dict[tuple, int]:
             if count >= thr:
                 out[combo] = count
     return out
+
+
+def join_candidates(level) -> list[tuple]:
+    """Every (k+1)-set over the level's items whose k-subsets all appear."""
+    level = set(level)
+    if not level:
+        return []
+    k = len(next(iter(level)))
+    items = sorted({i for x in level for i in x})
+    return [
+        c
+        for c in combinations(items, k + 1)
+        if all(s in level for s in combinations(c, k))
+    ]

@@ -297,6 +297,13 @@ class TestErrors:
             ("--minsup", "0.5", "--algorithm", "cd", "--sites", "2",
              "--partition", "random:-1"),
             ("--minsup", "0.5", "--algorithm", "cd", "--sweep-minsups", "0.5,7"),
+            ("--minsup", "0.5", "--algorithm", "cd", "--sites", "+2"),
+            ("--minsup", "0.5", "--algorithm", "cd", "--sites", "0_2"),
+            ("--minsup", "0.5", "--algorithm", "cd", "--sites", "\u0663"),
+            ("--minsup", "0.5", "--algorithm", "cd", "--sweep-sizes", "+2"),
+            ("--minsup", "0.5", "--algorithm", "cd", "--sweep-sizes", "1_0"),
+            ("--minsup", "0.5", "--algorithm", "cd", "--sweep-sizes", "\u0663"),
+            ("--minsup", "0.5", "--algorithm", "cd", "--sweep-sizes", "10,10"),
         ],
     )  # fmt: skip
     def test_bad_user_values_are_config_errors(self, extra, capsys):
@@ -329,6 +336,7 @@ class TestErrors:
             ('{"1_0":"A"}', "1_0"),
             ('{"-1":"A"}', "-1"),
             ('{"1":"A","01":"B"}', "01"),
+            ('{"1":"A","1":"B"}', "1"),
         ],
     )
     def test_bad_labels_key(self, market_file, tmp_path, capsys, labels_json, key):

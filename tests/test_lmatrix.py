@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import numpy as np
@@ -102,3 +103,51 @@ class TestOracleEquivalence:
             for y in combinations(x, len(x) - 1):
                 if y:
                     assert m.support(y) >= sup_x
+
+
+class TestCount:
+    def test_matches_support_shuffled_with_unseen_items(self):
+        # items >= n_cols occur in no transaction of this matrix
+        rng = np.random.default_rng(11)
+        shuffle = random.Random(11).shuffle
+        for _ in range(30):
+            db = random_raw_db(rng, max_txns=150, max_items=9)
+            m, _ = build(db)
+            for k in range(1, 5):
+                itemsets = list(combinations(range(db.universe + 2), k))
+                shuffle(itemsets)
+                expected = [
+                    m.support(x) if x[-1] < db.universe else 0 for x in itemsets
+                ]
+                got = m.count(itemsets)
+                assert got.dtype == np.int64
+                assert got.tolist() == expected
+                assert m.count(sorted(itemsets)).tolist() == [
+                    n for _, n in sorted(zip(itemsets, expected))
+                ]
+
+    def test_empty_input(self, market_db_zero_indexed):
+        m, _ = build(market_db_zero_indexed)
+        got = m.count([])
+        assert got.shape == (0,) and got.dtype == np.int64
+
+    def test_zero_column_matrix_counts_zero(self):
+        m, _ = build(TransactionDb(transactions=((), ()), universe=0))
+        assert m.count([(0,), (3,)]).tolist() == [0, 0]
+        assert m.count([(0, 1), (0, 2), (1, 2)]).tolist() == [0, 0, 0]
+
+    def test_market_pairs(self, market_db_zero_indexed):
+        m, _ = build(market_db_zero_indexed)
+        pairs = [(0, 1), (0, 2), (0, 4), (1, 2), (2, 4)]
+        assert m.count(pairs).tolist() == [2, 2, 2, 1, 1]
+
+    @pytest.mark.parametrize("bad", [[(0,), (0, 1)], [(), ()]])
+    def test_rejects_mixed_or_empty_itemsets(self, market_db_zero_indexed, bad):
+        m, _ = build(market_db_zero_indexed)
+        with pytest.raises(ValueError):
+            m.count(bad)
+
+    def test_leaves_scan_counter_alone(self, market_db_zero_indexed):
+        m, counter = build(market_db_zero_indexed)
+        m.count([(0, 2), (1, 2)])
+        assert counter.raw_scans == 1

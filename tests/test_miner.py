@@ -1,7 +1,14 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from bruteforce import enumerate_frequent, naive_support, oracle_threshold
+from bruteforce import (
+    enumerate_frequent,
+    join_candidates,
+    naive_support,
+    oracle_threshold,
+)
 from conftest import MARKET_FREQUENT, corpus_db
 
 from distmine import (
@@ -82,6 +89,35 @@ class TestAprioriGen:
 
     def test_duplicates_collapse(self):
         assert apriori_gen([(1,), (2,), (1,)]) == [(1, 2)]
+
+    def test_matches_join_definition(self):
+        rng = random.Random(17)
+        for case in range(400):
+            k = 1 + case % 4
+            ids = sorted(rng.sample(range(10**9), rng.randint(k, 9)))
+            if case % 3 == 0:
+                ids = list(range(len(ids)))
+            level = list(combinations(ids, k))
+            level = rng.sample(level, rng.randint(0, len(level)))
+            got = apriori_gen(level)
+            assert got == join_candidates(level), (case, level)
+            assert type(got) is list
+            assert all(type(x) is tuple and len(x) == k + 1 for x in got)
+            assert all(type(i) is int for x in got for i in x)
+
+    @pytest.mark.parametrize(
+        "level",
+        [
+            [],
+            [(7,), (3,), (1_000_000_007,), (42,)],
+            [(2, 5, 9), (2, 5, 11), (2, 5, 40), (2, 5, 41)],
+            [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 2, 5), (3, 4, 5)],
+            [(0, 10**12), (0, 10**12 + 1), (10**12, 10**12 + 1)],
+        ],
+        ids=["empty", "singles", "one-prefix-run", "gapped", "wide-ids"],
+    )
+    def test_matches_join_definition_on_shapes(self, level):
+        assert apriori_gen(level) == join_candidates(level)
 
     def test_complete_against_bruteforce(self):
         # every truly frequent (k+1)-itemset must come out of the join over

@@ -131,6 +131,21 @@ class TestLocalSite:
         )
         assert site.heavy_prev == {(A,), (C,), (E,)}
 
+    def test_count_request_for_another_level(self, market_sites):
+        site = market_sites[0]
+        site.build_report(1)
+        with pytest.raises(ProtocolError, match="level 2 during level 1"):
+            site.handle_count_request(CountRequest(k=2, itemsets=((A, C),)))
+
+    def test_global_result_for_another_level(self, market_sites):
+        site = market_sites[0]
+        site.build_report(1)
+        site.update_heavy(GlobalResult(k=1, frequent=(((A,), 3),), continue_flag=True))
+        site.build_report(2)
+        stale = GlobalResult(k=1, frequent=(((A,), 3),), continue_flag=True)
+        with pytest.raises(ProtocolError, match="level 1 during level 2"):
+            site.update_heavy(stale)
+
     def test_rejects_empty_partition(self):
         from distmine.dataset import TransactionDb
 
