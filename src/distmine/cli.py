@@ -217,7 +217,7 @@ def run(args: argparse.Namespace) -> int:
 def sweep(args: argparse.Namespace) -> int:
     """Grid of (algorithm, minsup, size) runs over one seeded synthetic
     database, generated once at the largest size; smaller sizes are its
-    prefixes, as ``generate_synthetic`` would give them. Emits per-round
+    leading rows, as ``generate_synthetic`` would give them. Emits per-round
     rows plus one summary row (with wall-clock ms) per grid point."""
     if args.synthetic is None:
         raise ConfigError("sweep mode requires --synthetic")
@@ -229,7 +229,7 @@ def sweep(args: argparse.Namespace) -> int:
     n_transactions, *params = args.synthetic
     sizes = args.sweep_sizes or [n_transactions]
     full = generate_synthetic(max(sizes), *params)
-    dbs = {n: TransactionDb(full.transactions[:n], full.universe) for n in sizes}
+    dbs = {n: full.slice(0, n) for n in sizes}
 
     lines = [SWEEP_METRICS_HEADER]
     for algorithm in args.algorithm:

@@ -41,21 +41,14 @@ class LMatrix:
 
     @classmethod
     def from_db(cls, db: TransactionDb, counter: ScanCounter) -> "LMatrix":
-        """Build the matrix in one scan of ``db``; increments ``counter`` once."""
+        """Build the matrix in one scan of ``db``'s CSR arrays; increments
+        ``counter`` once. Temporaries grow with the (row, item) pairs."""
         n_rows, n_cols = db.size, db.universe
         n_words = (n_rows + 63) >> 6
         words = np.zeros((n_cols, n_words), dtype=np.uint64)
-        total = sum(len(t) for t in db.transactions)
-        if total:
-            lengths = np.fromiter(
-                (len(t) for t in db.transactions), dtype=np.int64, count=n_rows
-            )
-            rows = np.repeat(np.arange(n_rows, dtype=np.uint64), lengths)
-            items = np.fromiter(
-                (i for t in db.transactions for i in t), dtype=np.int64, count=total
-            )
-            bits = np.uint64(1) << (rows & np.uint64(63))
-            np.bitwise_or.at(words, (items, (rows >> np.uint64(6)).astype(np.int64)), bits)
+        rows = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(db.indptr))
+        bits = np.left_shift(np.uint64(1), (rows & 63).astype(np.uint64))
+        np.bitwise_or.at(words, (db.items, rows >> 6), bits)
         counter.record_scan()
         return cls(n_rows, n_cols, words)
 

@@ -79,6 +79,7 @@ class LocalSite:
         self.site_threshold = threshold(minsup, part.size)
         self.universe = part.universe
         self.level = 1  # of the last report; messages must match it
+        self.closed = False  # a GlobalResult has closed ``level``
         self.heavy_prev: set[Itemset] = set()
         self.reported: dict[Itemset, int] = {}
         self.last_candidates: list[Itemset] = []
@@ -104,6 +105,7 @@ class LocalSite:
             survivors = local_prune(candidates, self.reported, self.site_threshold)
         counts = self.matrix.count(survivors).tolist()
         self.level = k
+        self.closed = False
         self.last_candidates = candidates
         self.last_survivors = survivors
         self.reported = {
@@ -133,8 +135,14 @@ class LocalSite:
         of its (k-1)-subsets is not heavy here. That subset is globally
         frequent (so is every subset of a frequent itemset), so it is not
         locally frequent, and neither is the itemset. No recount is needed.
+        A level takes one result; a second raises ProtocolError.
         """
         self._check_level("global result", result.k)
+        if self.closed:
+            raise ProtocolError(
+                f"site {self.site_id}: second global result for level {result.k}"
+            )
+        self.closed = True
         self.heavy_prev = {x for x, _ in result.frequent if x in self.reported}
 
 

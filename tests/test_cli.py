@@ -204,6 +204,22 @@ class TestRun:
         data = b"".join(p.read_bytes() for p in paths)
         assert hashlib.sha256(data).hexdigest() == digest
 
+    @pytest.mark.parametrize("algorithm", ["improved", "cd", "sequential"])
+    def test_runs_without_the_tuple_view(self, algorithm, market_file, monkeypatch, capsys):
+        # Ingest, partition and mining work on the CSR arrays alone.
+        def no_view(db):
+            raise AssertionError("TransactionDb.transactions was read")
+
+        monkeypatch.setattr(distmine.TransactionDb, "transactions", property(no_view))
+        for source in (("--input", market_file), ("--synthetic", "T=3,I=12,D=60,seed=5")):
+            for part in ("contiguous", "roundrobin", "random:3"):
+                status = run_cli(
+                    *source, "--minsup", "0.3", "--sites", "3", "--partition", part,
+                    "--algorithm", algorithm,
+                )  # fmt: skip
+                assert status == 0
+        assert capsys.readouterr().out.count('"frequent"') == 6
+
     def test_pinned_run_polls_and_prunes(self):
         db = distmine.generate_synthetic(500, 20, 4, seed=4)
         parts = distmine.partition(db, distmine.PartitionSpec(5, "random", 7))
@@ -245,6 +261,21 @@ class TestErrors:
         )
         assert status == 3
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("1 99999999999999999999999\n", 1),
+            ("1 2\n3 9223372036854775808\n", 2),
+            ("1\n\n\u00a05 00000000000000000000009223372036854775808\n", 3),
+        ],
+    )
+    def test_item_id_beyond_int64(self, tmp_path, capsys, text, line):
+        bad = tmp_path / "big.dat"
+        bad.write_text(text, encoding="utf-8")
+        status = run_cli("--input", bad, "--minsup", "0.5", "--algorithm", "sequential")
+        assert status == 3
+        assert f"parse error: line {line}: item 9" in capsys.readouterr().err
 
     def test_missing_input_file(self, tmp_path, capsys):
         status = run_cli(

@@ -166,6 +166,10 @@ class TestGenerateSynthetic:
             ((30000, 100, 10, 401), "57d1c5687b93dc867fb6c50f421665cdf30d7bd854163a0f51b698e748ef6cdf"),
             ((100000, 100, 10, 7), "1386078a64b7f93aa86db8612286337d65ad272b1eb2c3aa002124ee3bc5bf6a"),
             ((200, 12, 3, 5), "99c7594a0b31a6b1f54ab76c7742f06f8434a4456622672e2a1a68d0a9bb7503"),
+            # Long rows over many items: keys u ** (i + 1) underflow to 0, so
+            # a row's cut falls among equal keys and goes to the lower ids.
+            ((50, 2000, 1500, 3), "7311be7bd1e1e0f0d973b524d04aef84f68ba7eb0492d71978aaebdb53a49ca7"),
+            ((20, 4000, 3900, 5), "29c4a0dbc73d7209ce8ad76feb966a55027a8677db9fdd06344c48a654bd8bdc"),
         ],
     )
     def test_pinned_bytes(self, args, sha256):

@@ -146,6 +146,16 @@ class TestLocalSite:
         with pytest.raises(ProtocolError, match="level 1 during level 2"):
             site.update_heavy(stale)
 
+    def test_second_global_result_for_a_level(self, market_sites):
+        site = market_sites[0]
+        site.build_report(1)
+        result = GlobalResult(k=1, frequent=(((A,), 3),), continue_flag=True)
+        site.update_heavy(result)
+        with pytest.raises(ProtocolError, match="second global result for level 1"):
+            site.update_heavy(result)
+        site.build_report(2)
+        site.update_heavy(GlobalResult(k=2, frequent=(), continue_flag=False))
+
     def test_rejects_empty_partition(self):
         from distmine.dataset import TransactionDb
 
