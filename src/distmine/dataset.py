@@ -53,19 +53,18 @@ class TransactionDb:
         if universe < 0:
             raise ValueError("universe must be non-negative")
         rows = tuple(transactions)
-        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-        indptr = _offsets(lengths)
+        for t in rows:
+            if any(a >= b for a, b in zip(t, t[1:])):
+                raise ValueError(f"transaction {t!r} is not strictly ascending")
+            if t and (t[0] < 0 or t[-1] >= universe):
+                raise ValueError(f"transaction {t!r} has items outside universe {universe}")
+        indptr = _offsets(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)))
         try:
             items = np.fromiter(
                 itertools.chain.from_iterable(rows), dtype=np.int64, count=int(indptr[-1])
             )
         except OverflowError:
-            _reject(rows, universe)
-        # Each item must exceed its predecessor within its row.
-        row = np.repeat(np.arange(len(rows)), lengths)
-        ascending = (items[1:] > items[:-1]) | (row[1:] != row[:-1])
-        if not (ascending.all() and ((items >= 0) & (items < universe)).all()):
-            _reject(rows, universe)
+            raise ValueError(f"item ids must not exceed {INT64_MAX}") from None
         self._set(indptr, items, universe)
 
     @classmethod
@@ -138,16 +137,6 @@ class TransactionDb:
         return TransactionDb._trusted(indptr, items, self.universe)
 
 
-def _reject(rows: tuple, universe: int):
-    """Raise the ValueError for the first transaction that breaks the layout."""
-    for t in rows:
-        if any(a >= b for a, b in zip(t, t[1:])):
-            raise ValueError(f"transaction {t!r} is not strictly ascending")
-        if t and (t[0] < 0 or t[-1] >= universe):
-            raise ValueError(f"transaction {t!r} has items outside universe {universe}")
-    raise ValueError(f"item ids must not exceed {INT64_MAX}")
-
-
 @dataclass(frozen=True)
 class PartitionSpec:
     """How to split a database across sites.
@@ -172,8 +161,7 @@ class PartitionSpec:
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 _EMPTY.flags.writeable = False
-_FIMI_CHUNK = 1 << 14  # characters of FIMI text parsed at once, or
-_FIMI_BLOCK = 1 << 10  # lines, once a chunk has failed the screen
+_FIMI_CHUNK = 1 << 14  # characters of FIMI text parsed at once
 # Bytes the array parser takes: tab, line feed, space and the digits.
 _SCREENED = np.zeros(256, dtype=bool)
 _SCREENED[[9, 10, 32, *range(ord("0"), ord("9") + 1)]] = True
@@ -223,11 +211,11 @@ def _parse_digits(text: str) -> tuple[np.ndarray, np.ndarray] | None:
     return _rows_of(line, values)
 
 
-def _parse_tokens(block: list[str], first_lineno: int) -> tuple[np.ndarray, np.ndarray]:
+def _parse_tokens(lines: Iterable[str], first_lineno: int) -> tuple[np.ndarray, np.ndarray]:
     """Parse lines token by token, raising FimiFormatError on the first bad one."""
     lengths: list[int] = []
     flat: list[int] = []
-    for lineno, line in enumerate(block, start=first_lineno):
+    for lineno, line in enumerate(lines, start=first_lineno):
         tokens = line.split()
         if not tokens:
             continue
@@ -263,8 +251,10 @@ def load_fimi(source: str | IO[str] | Iterable[str]) -> TransactionDb:
     at most ``INT64_MAX``; duplicates within a line are dropped and items
     sorted ascending. Blank lines are skipped, so ``size`` may be smaller
     than the raw line count. The universe is inferred as 1 + the largest
-    item id seen (0 if empty). The text is parsed a block at a time straight
-    into the CSR arrays.
+    item id seen (0 if empty). Text is parsed in chunks of whole lines
+    straight into the CSR arrays while the chunks hold only ASCII digits,
+    spaces, tabs and ``\n``; the rest of the text from the first chunk that
+    does not, or an iterable of lines, is parsed token by token.
 
     Raises FimiFormatError naming the offending 1-based line number.
     """
@@ -289,17 +279,10 @@ def load_fimi(source: str | IO[str] | Iterable[str]) -> TransactionDb:
         lines: Iterable[str] = text[pos:].splitlines()
     else:
         lines = source
-    it = iter(lines)
-    while block := list(itertools.islice(it, _FIMI_BLOCK)):
-        joined = "\n".join(block)
-        parsed = None
-        if joined.count("\n") == len(block) - 1:  # no line holds a break
-            parsed = _parse_digits(joined)
-        if parsed is None:
-            parsed = _parse_tokens(block, lineno)
-        lengths.append(parsed[0])
-        items.append(parsed[1])
-        lineno += len(block)
+    # What the array parser did not take goes token by token.
+    parsed = _parse_tokens(lines, lineno)
+    lengths.append(parsed[0])
+    items.append(parsed[1])
     flat = np.concatenate(items)
     universe = int(flat.max()) + 1 if len(flat) else 0
     return TransactionDb._trusted(_offsets(np.concatenate(lengths)), flat, universe)
