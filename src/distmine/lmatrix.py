@@ -3,9 +3,8 @@
 The matrix is built from a database in a single scan; afterwards every
 support query is answered by intersecting item columns and popcounting,
 never by re-reading raw transactions. ``LMatrix.count`` is the counting
-path of all three miners: it answers a whole level of candidates at once and
-intersects each shared (k-1)-prefix only once. ``support`` answers a single
-itemset.
+path of all three miners: it answers a whole level of candidates in a few
+numpy calls per fixed-size chunk. ``support`` answers a single itemset.
 """
 
 from __future__ import annotations
@@ -13,6 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import Itemset, TransactionDb
+
+# Bytes each temporary of ``LMatrix.count`` may hold.
+COUNT_CHUNK_BYTES = 1 << 18
 
 
 class ScanCounter:
@@ -78,13 +80,12 @@ class LMatrix:
     def count(self, itemsets) -> np.ndarray:
         """Supports of equal-length itemsets, in input order, as int64.
 
-        Consecutive itemsets with the same (k-1)-prefix form a run: the
-        prefix columns are ANDed once, and the run's last-item columns are
-        gathered, ANDed with that and popcounted in one step. At k=1 the
-        prefix is empty, its AND all ones, and the level one gather. Sorted
-        input shares the most prefixes; any order gives the same counts.
-        Items outside ``[0, n_cols)`` occur in no transaction here, so an
-        itemset holding one counts 0. Empty or mixed-length itemsets raise
+        The level is counted in chunks of candidates: for each chunk the k
+        item columns are gathered into reused buffers, ANDed there and
+        popcounted in one step. Each temporary holds at most
+        ``COUNT_CHUNK_BYTES``, so memory does not grow with the size of the
+        level. Items outside ``[0, n_cols)`` occur in no transaction here, so
+        an itemset holding one counts 0. Empty or mixed-length itemsets raise
         ValueError.
         """
         counts = np.zeros(len(itemsets), dtype=np.int64)
@@ -93,19 +94,21 @@ class LMatrix:
         rows = np.array(itemsets, dtype=np.int64)
         if rows.ndim != 2 or rows.shape[1] == 0:
             raise ValueError("count takes non-empty itemsets of one length")
-        known = ((rows >= 0) & (rows < self.n_cols)).all(axis=1)
-        rows = rows[known]
-        found = np.zeros(len(rows), dtype=np.int64)
-        prefixes = rows[:, :-1]
-        new_run = np.ones(len(rows), dtype=bool)
-        new_run[1:] = (prefixes[1:] != prefixes[:-1]).any(axis=1)
-        bounds = np.append(np.flatnonzero(new_run), len(rows)).tolist()
-        for s, e in zip(bounds, bounds[1:]):
-            acc = np.bitwise_and.reduce(self._words[prefixes[s]], axis=0)
-            if acc.any():
-                last = self._words[rows[s:e, -1]]
-                found[s:e] = np.bitwise_count(last & acc).sum(axis=1)
-        counts[known] = found
+        known = np.flatnonzero(((rows >= 0) & (rows < self.n_cols)).all(axis=1))
+        n_words = self._words.shape[1]
+        step = max(COUNT_CHUNK_BYTES // max(8 * n_words, 1), 1)
+        acc = np.empty((min(step, len(known)), n_words), dtype=np.uint64)
+        col = np.empty_like(acc)
+        for start in range(0, len(known), step):
+            at = known[start : start + step]
+            chunk = rows[at]
+            a, c = acc[: len(at)], col[: len(at)]
+            # Indices are checked above; "clip" lets take fill out unbuffered.
+            np.take(self._words, chunk[:, 0], axis=0, out=a, mode="clip")
+            for j in range(1, chunk.shape[1]):
+                np.take(self._words, chunk[:, j], axis=0, out=c, mode="clip")
+                a &= c
+            counts[at] = np.bitwise_count(a).sum(axis=1)
         return counts
 
     def support_batch(self, itemsets: list[Itemset]) -> list[int]:

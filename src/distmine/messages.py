@@ -10,18 +10,21 @@ implementation-independent.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import Union
 
 from .dataset import Itemset
-from .miner import itemset_key
 
 CountEntry = tuple[Itemset, int]
 
 
-def _check_sorted(itemsets) -> None:
-    keys = [itemset_key(x) for x in itemsets]
-    if any(a >= b for a, b in zip(keys, keys[1:])):
+def _check_sorted(itemsets, k: int) -> None:
+    """Every itemset of a level-k message has k items, in strictly rising
+    order; with one length, tuple order is the (length, lex) order."""
+    if any(map(k.__ne__, map(len, itemsets))):
+        raise ValueError(f"a level-{k} message carries only {k}-itemsets")
+    if any(map(operator.ge, itemsets, itemsets[1:])):
         raise ValueError("message itemsets must be (length, lex) sorted and duplicate-free")
 
 
@@ -34,7 +37,7 @@ class LocalReport:
     entries: tuple[CountEntry, ...]
 
     def __post_init__(self) -> None:
-        _check_sorted([x for x, _ in self.entries])
+        _check_sorted([x for x, _ in self.entries], self.k)
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,7 @@ class CountRequest:
     itemsets: tuple[Itemset, ...]
 
     def __post_init__(self) -> None:
-        _check_sorted(self.itemsets)
+        _check_sorted(self.itemsets, self.k)
 
 
 @dataclass(frozen=True)
@@ -57,7 +60,7 @@ class CountResponse:
     counts: tuple[CountEntry, ...]
 
     def __post_init__(self) -> None:
-        _check_sorted([x for x, _ in self.counts])
+        _check_sorted([x for x, _ in self.counts], self.k)
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,7 @@ class GlobalResult:
     continue_flag: bool
 
     def __post_init__(self) -> None:
-        _check_sorted([x for x, _ in self.frequent])
+        _check_sorted([x for x, _ in self.frequent], self.k)
 
 
 ProtocolMessage = Union[LocalReport, CountRequest, CountResponse, GlobalResult]
@@ -94,13 +97,10 @@ def payload_itemsets(msg: ProtocolMessage) -> int:
 
 
 def canonical_size(msg: ProtocolMessage) -> int:
-    """Canonical payload size in bytes."""
-    size = 8 * _HEADER_FIELDS[type(msg)]
-    if isinstance(msg, CountRequest):
-        size += sum(4 * len(x) for x in msg.itemsets)
-    else:
-        size += sum(4 * len(x) + 8 for x, _ in _entries_of(msg))
-    return size
+    """Canonical payload size in bytes: the header, then k item ids per
+    itemset and, except in a CountRequest, one count."""
+    per_itemset = 4 * msg.k if isinstance(msg, CountRequest) else 4 * msg.k + 8
+    return 8 * _HEADER_FIELDS[type(msg)] + per_itemset * payload_itemsets(msg)
 
 
 @dataclass(frozen=True)

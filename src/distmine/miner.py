@@ -61,7 +61,7 @@ def apriori_gen(prev_frequent) -> list[Itemset]:
     Join step merges pairs agreeing on their first k-1 items; the prune
     step drops any candidate with a k-subset missing from ``prev_frequent``.
     The result is duplicate-free and lexicographically sorted. Raises
-    ValueError if the input mixes itemset lengths.
+    ValueError if the input mixes itemset lengths or holds a negative id.
     """
     prev = sorted(set(prev_frequent))
     if not prev:
@@ -70,6 +70,8 @@ def apriori_gen(prev_frequent) -> list[Itemset]:
     if k < 1 or len(prev[-1]) != k or any(len(x) != k for x in prev):
         raise ValueError("apriori_gen input must be non-empty itemsets of one length")
     rows = np.array(prev, dtype=np.int64)
+    if rows.min() < 0:
+        raise ValueError("apriori_gen takes non-negative item ids")
     # Sorted rows with one (k-1)-prefix are consecutive; every pair (i, j),
     # i < j, inside such a run joins, in lexicographic order of the result.
     n = len(rows)
@@ -82,13 +84,15 @@ def apriori_gen(prev_frequent) -> list[Itemset]:
     right = left + 1 + np.arange(len(left)) - first_pair
     cand = np.concatenate((rows[left], rows[right, -1:]), axis=1)
     # Dropping either of the two joined positions gives a or b, which are
-    # present by construction; check the remaining k-1 subsets. The rows are
-    # compared as raw bytes, which no item id range can overflow.
+    # present by construction; look the remaining k-1 subsets up in the
+    # sorted rows. Rows compare as raw bytes, which no id range overflows;
+    # big-endian, the bytes of non-negative ids sort in numeric order.
     as_bytes = np.dtype((np.void, 8 * k))
-    known = rows.view(as_bytes).ravel()
+    known = rows.astype(">i8").view(as_bytes).ravel()
     for j in range(k - 1):
-        subsets = np.delete(cand, j, axis=1)
-        cand = cand[np.isin(subsets.view(as_bytes).ravel(), known)]
+        wanted = np.delete(cand, j, axis=1).astype(">i8").view(as_bytes).ravel()
+        at = np.minimum(np.searchsorted(known, wanted), n - 1)
+        cand = cand[known[at] == wanted]
     return list(zip(*cand.T.tolist()))
 
 

@@ -47,6 +47,7 @@ def local_prune(
     The bound for a k-candidate is the minimum local count over its (k-1)-
     subsets, which support can never exceed. Every subset must already be in
     ``subset_counts``; a missing one is a pipeline bug, not user error.
+    ``LocalSite.build_report`` does not call it (see there for why).
     """
     if site_threshold <= 0:
         return list(candidates)
@@ -83,33 +84,26 @@ class LocalSite:
         self.heavy_prev: set[Itemset] = set()
         self.reported: dict[Itemset, int] = {}
         self.last_candidates: list[Itemset] = []
-        self.last_survivors: list[Itemset] = []
 
     def local_candidates(self, k: int) -> list[Itemset]:
         """Level-k candidates: every single item at k=1, otherwise the
         Apriori join over the previous level's heavy itemsets."""
         if k == 1:
             return [(i,) for i in range(self.universe)]
-        return apriori_gen(sorted(self.heavy_prev))
+        return apriori_gen(self.heavy_prev)
 
     def build_report(self, k: int) -> LocalReport:
-        """Generate, prune, and count level-k candidates; report the locally
-        frequent ones. The report is sent even when empty so the center can
-        tell "nothing frequent" from "no reply". Every (k-1)-subset of a
-        candidate is heavy, so the previous level's ``reported`` holds the
-        bounds ``local_prune`` needs; this level's report replaces it."""
+        """Count every level-k candidate and report the locally frequent ones,
+        even none, so the center can tell "nothing frequent" from "no reply".
+        ``local_prune`` would drop no candidate: each (k-1)-subset is heavy
+        here, so the least subset count already clears the site threshold."""
         candidates = self.local_candidates(k)
-        if k == 1:
-            survivors = candidates
-        else:
-            survivors = local_prune(candidates, self.reported, self.site_threshold)
-        counts = self.matrix.count(survivors).tolist()
+        counts = self.matrix.count(candidates).tolist()
         self.level = k
         self.closed = False
         self.last_candidates = candidates
-        self.last_survivors = survivors
         self.reported = {
-            x: n for x, n in zip(survivors, counts) if n >= self.site_threshold
+            x: n for x, n in zip(candidates, counts) if n >= self.site_threshold
         }
         return LocalReport(
             site_id=self.site_id, k=k, entries=tuple(self.reported.items())
@@ -122,8 +116,13 @@ class LocalSite:
             )
 
     def handle_count_request(self, req: CountRequest) -> CountResponse:
-        """Answer exact local counts from the matrix (no raw rescan)."""
+        """Answer exact local counts from the matrix (no raw rescan). A level
+        a GlobalResult has closed takes no more requests."""
         self._check_level("count request", req.k)
+        if self.closed:
+            raise ProtocolError(
+                f"site {self.site_id}: count request for closed level {req.k}"
+            )
         counts = tuple(zip(req.itemsets, self.matrix.count(req.itemsets).tolist()))
         return CountResponse(site_id=self.site_id, k=req.k, counts=counts)
 
@@ -258,7 +257,7 @@ class ImprovedRun:
     Rounds are barrier-synchronized and all actors run in-process; state
     moves only through protocol messages. After ``run()`` the instance
     exposes per-round metrics, the full message trace, the sites (for scan
-    counters), and everything pruned along the way.
+    counters), and the itemsets the max-count bound pruned.
     """
 
     def __init__(
@@ -277,7 +276,6 @@ class ImprovedRun:
         self.center = CenterSite([s.size for s in self.sites], self.minsup)
         self.log = MessageLog(count_colocated=count_colocated_messages)
         self.metrics: list[RoundMetrics] = []
-        self.locally_pruned: list[tuple[int, int, Itemset]] = []
         self.maxcount_pruned: list[tuple[int, Itemset]] = []
         self.result: MiningResult | None = None
 
@@ -300,18 +298,12 @@ class ImprovedRun:
     def _run_round(self, k: int) -> GlobalResult:
         msgs0, bytes0 = self.log.messages_sent, self.log.payload_bytes
         cand_union: set[Itemset] = set()
-        surv_union: set[Itemset] = set()
         llk_total = 0
 
         reports = []
         for site in self.sites:
             rep = site.build_report(k)
             cand_union.update(site.last_candidates)
-            surv_union.update(site.last_survivors)
-            self.locally_pruned.extend(
-                (k, site.site_id, x)
-                for x in set(site.last_candidates) - set(site.last_survivors)
-            )
             llk_total += len(rep.entries)
             self.log.send(f"site:{site.site_id}", "center", rep)
             reports.append(rep)
@@ -336,7 +328,7 @@ class ImprovedRun:
             RoundMetrics(
                 k=k,
                 candidates_generated=len(cand_union),
-                candidates_after_local_prune=len(surv_union),
+                candidates_after_local_prune=len(cand_union),
                 messages_sent=self.log.messages_sent - msgs0,
                 payload_bytes=self.log.payload_bytes - bytes0,
                 llk_total=llk_total,

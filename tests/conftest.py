@@ -1,7 +1,9 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
-from distmine import TransactionDb, generate_synthetic, load_fimi
+from distmine import LocalSite, TransactionDb, generate_synthetic, load_fimi, local_prune
 
 # The running supermarket example: transactions ABC / ABDE / ACE with items
 # labeled A..E = 1..5 (item 0 unused).
@@ -48,3 +50,25 @@ def random_raw_db(rng: np.random.Generator, max_txns: int, max_items: int) -> Tr
         items = rng.choice(n_items, size=length, replace=False)
         transactions.append(tuple(sorted(int(i) for i in items)))
     return TransactionDb(transactions=tuple(transactions), universe=n_items)
+
+
+@contextmanager
+def local_prune_checks():
+    """While the block runs, each ``LocalSite.build_report`` at k > 1 also
+    runs ``local_prune`` on the site's candidates with the previous level's
+    reported counts. Yields a list that collects (k, site_id, dropped), the
+    candidates the prune would have dropped, per call."""
+    checks = []
+    build = LocalSite.build_report
+
+    def checked(site, k):
+        candidates, bounds = site.local_candidates(k), site.reported
+        report = build(site, k)
+        if k > 1:
+            kept = local_prune(candidates, bounds, site.site_threshold)
+            checks.append((k, site.site_id, sorted(set(candidates) - set(kept))))
+        return report
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LocalSite, "build_report", checked)
+        yield checks

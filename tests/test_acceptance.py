@@ -13,7 +13,7 @@ from itertools import combinations, islice
 
 import pytest
 from bruteforce import enumerate_frequent
-from conftest import MARKET_FIMI, corpus_db
+from conftest import MARKET_FIMI, corpus_db, local_prune_checks
 
 from distmine import (
     CountDistributionRun,
@@ -56,7 +56,7 @@ class InstanceRecord:
     cd_metrics: list
     improved_scans: list
     maxcount_pruned: list
-    locally_pruned: list
+    local_prune_checks: list
 
 
 @dataclass
@@ -81,7 +81,8 @@ def corpus() -> Corpus:
                         db, PartitionSpec(n_sites=n, strategy=strategy, seed=seed)
                     )
                     improved = ImprovedRun(parts, minsup)
-                    improved.run()
+                    with local_prune_checks() as checks:
+                        improved.run()
                     cd = CountDistributionRun(parts, minsup)
                     cd.run()
                     corpus.records.append(
@@ -99,7 +100,7 @@ def corpus() -> Corpus:
                                 s.scan_counter.raw_scans for s in improved.sites
                             ],
                             maxcount_pruned=improved.maxcount_pruned,
-                            locally_pruned=improved.locally_pruned,
+                            local_prune_checks=checks,
                         )
                     )
     corpus.elapsed_s = time.perf_counter() - start
@@ -169,12 +170,15 @@ def test_criterion_4_single_scan(corpus):
 
 
 def test_criterion_5_pruning_soundness(corpus):
-    with criterion(5, "nothing pruned locally or by the count bound is frequent"):
+    with criterion(5, "local prune drops nothing; count-bound pruned are infrequent"):
+        n_checks = 0
         for rec in corpus.records:
             for _, x in rec.maxcount_pruned:
                 assert x not in rec.oracle, (rec.seed, rec.minsup, rec.n_sites, x)
-            for _, _, x in rec.locally_pruned:
-                assert x not in rec.oracle, (rec.seed, rec.minsup, rec.n_sites, x)
+            for k, site_id, dropped in rec.local_prune_checks:
+                assert dropped == [], (rec.seed, rec.minsup, rec.n_sites, k, site_id)
+            n_checks += len(rec.local_prune_checks)
+        assert n_checks > 0
 
 
 def test_criterion_6_candidate_economy(corpus):

@@ -6,7 +6,7 @@ import pytest
 from bruteforce import naive_support
 from conftest import random_raw_db
 
-from distmine import LMatrix, ScanCounter, TransactionDb, load_fimi
+from distmine import LMatrix, ScanCounter, TransactionDb, lmatrix, load_fimi
 
 
 def build(db):
@@ -125,6 +125,20 @@ class TestCount:
                 assert m.count(sorted(itemsets)).tolist() == [
                     n for _, n in sorted(zip(itemsets, expected))
                 ]
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 7])
+    def test_chunk_edges_inside_the_level(self, monkeypatch, chunk_rows):
+        # a budget of a few candidate rows puts chunk edges inside each level
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            db = random_raw_db(rng, max_txns=200, max_items=8)
+            m, _ = build(db)
+            n_words = (db.size + 63) >> 6
+            monkeypatch.setattr(lmatrix, "COUNT_CHUNK_BYTES", chunk_rows * 8 * n_words)
+            for k in range(1, 4):
+                itemsets = list(combinations(range(db.universe + 1), k))
+                expected = [m.support(x) if x[-1] < db.universe else 0 for x in itemsets]
+                assert m.count(itemsets).tolist() == expected
 
     def test_empty_input(self, market_db_zero_indexed):
         m, _ = build(market_db_zero_indexed)

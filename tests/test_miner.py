@@ -87,6 +87,10 @@ class TestAprioriGen:
         with pytest.raises(ValueError, match="one length"):
             apriori_gen([(1,), (2, 3)])
 
+    def test_negative_ids_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            apriori_gen([(-1, 2), (-1, 3), (2, 3)])
+
     def test_duplicates_collapse(self):
         assert apriori_gen([(1,), (2,), (1,)]) == [(1, 2)]
 
@@ -113,8 +117,13 @@ class TestAprioriGen:
             [(2, 5, 9), (2, 5, 11), (2, 5, 40), (2, 5, 41)],
             [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 2, 5), (3, 4, 5)],
             [(0, 10**12), (0, 10**12 + 1), (10**12, 10**12 + 1)],
+            [
+                (1, 255, 256), (1, 255, 2**32), (1, 256, 2**32), (1, 256, 2**32 + 1),
+                (255, 256, 2**32), (255, 2**32, 2**32 + 1), (256, 2**32, 2**32 + 1),
+                (1, 2**32, 2**32 + 1), (1, 255, 2**32 + 1), (255, 256, 2**32 + 1),
+            ],
         ],
-        ids=["empty", "singles", "one-prefix-run", "gapped", "wide-ids"],
+        ids=["empty", "singles", "one-prefix-run", "gapped", "wide-ids", "byte-order"],
     )
     def test_matches_join_definition_on_shapes(self, level):
         assert apriori_gen(level) == join_candidates(level)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from bruteforce import enumerate_frequent
-from conftest import A, B, C, E, MARKET_FREQUENT, corpus_db
+from conftest import A, B, C, D, E, MARKET_FREQUENT, corpus_db, local_prune_checks
 
 from distmine import (
     CenterSite,
@@ -21,6 +21,7 @@ from distmine import (
     run_improved,
     sequential_apriori,
 )
+from distmine.messages import canonical_size
 
 TWO_THIRDS = Fraction(2, 3)
 
@@ -156,11 +157,59 @@ class TestLocalSite:
         site.build_report(2)
         site.update_heavy(GlobalResult(k=2, frequent=(), continue_flag=False))
 
+    def test_count_request_for_a_closed_level(self, market_sites):
+        site = market_sites[0]
+        site.build_report(1)
+        site.update_heavy(GlobalResult(k=1, frequent=(((A,), 3),), continue_flag=True))
+        with pytest.raises(ProtocolError, match="closed level 1"):
+            site.handle_count_request(CountRequest(k=1, itemsets=((A,),)))
+
     def test_rejects_empty_partition(self):
         from distmine.dataset import TransactionDb
 
         with pytest.raises(ValueError, match="empty"):
             LocalSite(0, TransactionDb(transactions=(), universe=2), TWO_THIRDS)
+
+
+def _message(kind, itemsets):
+    """A level-2 message of type ``kind`` carrying ``itemsets``, count 1 each."""
+    entries = tuple((x, 1) for x in itemsets)
+    if kind is LocalReport:
+        return LocalReport(site_id=0, k=2, entries=entries)
+    if kind is CountRequest:
+        return CountRequest(k=2, itemsets=tuple(itemsets))
+    if kind is CountResponse:
+        return CountResponse(site_id=0, k=2, counts=entries)
+    return GlobalResult(k=2, frequent=entries, continue_flag=True)
+
+
+MESSAGE_TYPES = [LocalReport, CountRequest, CountResponse, GlobalResult]
+
+
+class TestMessages:
+    @pytest.mark.parametrize("kind", MESSAGE_TYPES)
+    @pytest.mark.parametrize(
+        "itemsets",
+        [[(A,)], [(A, B), (A, B, C)], [(A,), (A, B)], [(A, B), (C, D, E)]],
+    )
+    def test_rejects_an_itemset_of_another_length(self, kind, itemsets):
+        with pytest.raises(ValueError, match="level-2 message"):
+            _message(kind, itemsets)
+
+    @pytest.mark.parametrize("kind", MESSAGE_TYPES)
+    @pytest.mark.parametrize("itemsets", [[(A, C), (A, B)], [(A, B), (A, B)]])
+    def test_rejects_unsorted_or_repeated_itemsets(self, kind, itemsets):
+        with pytest.raises(ValueError, match="sorted and duplicate-free"):
+            _message(kind, itemsets)
+
+    @pytest.mark.parametrize("kind", MESSAGE_TYPES)
+    def test_canonical_size_counts_every_entry(self, kind):
+        itemsets = [(A, B), (A, 300), (B, 2**40)]
+        header = {LocalReport: 2, CountRequest: 1, CountResponse: 2, GlobalResult: 2}
+        count_bytes = 0 if kind is CountRequest else 8
+        expected = 8 * header[kind] + sum(4 * len(x) + count_bytes for x in itemsets)
+        assert canonical_size(_message(kind, itemsets)) == expected
+        assert canonical_size(_message(kind, [])) == 8 * header[kind]
 
 
 class TestLocalPrune:
@@ -416,14 +465,18 @@ class TestImprovedRun:
                     assert all(m.messages_sent <= 4 * n for m in metrics)
 
     def test_nothing_pruned_is_frequent(self):
-        # soundness of both prune paths against the exhaustive oracle
+        # the count bound is sound against the exhaustive oracle, and local
+        # pruning would keep every candidate a site counts
+        n_checks = 0
         for seed in range(6):
             db = corpus_db(seed)
             frequent = set(enumerate_frequent(db, "0.4"))
             parts = partition(db, PartitionSpec(n_sites=3))
             run = ImprovedRun(parts, "0.4")
-            run.run()
+            with local_prune_checks() as checks:
+                run.run()
             for _, x in run.maxcount_pruned:
                 assert x not in frequent
-            for _, _, x in run.locally_pruned:
-                assert x not in frequent
+            assert all(dropped == [] for _, _, dropped in checks), (seed, checks)
+            n_checks += len(checks)
+        assert n_checks > 0
