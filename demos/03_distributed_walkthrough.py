@@ -32,7 +32,6 @@ for rec in run.log.trace:
 print("\nper-level metrics (messages stay within 4n = 8):")
 for m in run.metrics:
     print(f"  level {m.k}: candidates={m.candidates_generated}"
-          f" counted={m.candidates_after_local_prune}"
           f" messages={m.messages_sent} bytes={m.payload_bytes}"
           f" reported={m.llk_total} frequent={m.lk_size}")
 

@@ -137,11 +137,11 @@ def result_to_json(
 
 
 def _counter_cells(m: RoundMetrics) -> tuple[int, ...]:
-    """The six counter columns after ``round``, in CSV order."""
-    pruned = m.candidates_generated - m.candidates_after_local_prune
+    """The six counter columns after ``round``, in CSV order; no miner
+    prunes locally, so ``candidates_pruned_local`` is always 0."""
     return (
         m.candidates_generated,
-        pruned,
+        0,
         m.messages_sent,
         m.payload_bytes,
         m.llk_total,

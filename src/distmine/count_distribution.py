@@ -11,11 +11,14 @@ from __future__ import annotations
 from .dataset import Itemset, TransactionDb
 from .lmatrix import LMatrix, ScanCounter
 from .messages import LocalReport, MessageLog
-from .miner import MiningResult, RoundMetrics, apriori_gen, parse_minsup, threshold
+from .miner import MiningResult, RoundMetrics, apriori_levels, mine_levels
+from .miner import parse_minsup, threshold
 
 
 class CountDistributionRun:
-    """One deterministic simulated count-distribution run."""
+    """One deterministic simulated count-distribution run: the shared loop
+    (``miner.mine_levels`` over ``miner.apriori_levels``) with one round per
+    level, in which every site counts and broadcasts its count vector."""
 
     def __init__(self, partitions: list[TransactionDb], minsup) -> None:
         if not partitions:
@@ -37,48 +40,30 @@ class CountDistributionRun:
     def run(self) -> MiningResult:
         if self.result is not None:
             raise RuntimeError("run() may only be called once per instance")
-        n = len(self.matrices)
-        frequent: dict[Itemset, int] = {}
-        candidates: list[Itemset] = [(i,) for i in range(self.universe)]
-        k = 1
-        while candidates:
-            msgs0, bytes0 = self.log.messages_sent, self.log.payload_bytes
-            vectors = [m.count(candidates) for m in self.matrices]
-            for i in range(n):
-                report = LocalReport(
-                    site_id=i,
-                    k=k,
-                    entries=tuple(zip(candidates, vectors[i].tolist())),
-                )
-                for j in range(n):
-                    if j != i:
-                        self.log.send(f"site:{i}", f"site:{j}", report)
-            totals = sum(vectors).tolist()
-            level = {
-                x: t
-                for x, t in zip(candidates, totals)
-                if t >= self.global_threshold
-            }
-            frequent.update(level)
-            self.metrics.append(
-                RoundMetrics(
-                    k=k,
-                    candidates_generated=len(candidates),
-                    candidates_after_local_prune=len(candidates),
-                    messages_sent=self.log.messages_sent - msgs0,
-                    payload_bytes=self.log.payload_bytes - bytes0,
-                    # No local-frequency filter here; record total reported
-                    # count-vector entries for volume comparison.
-                    llk_total=n * len(candidates),
-                    lk_size=len(level),
-                )
-            )
-            candidates = apriori_gen(level) if level else []
-            k += 1
-        self.result = MiningResult(
-            minsup=self.minsup, db_size=self.total_size, frequent=frequent
+        levels = apriori_levels(
+            self.universe, self.global_threshold, self._count_level
+        )
+        self.result, self.metrics = mine_levels(
+            levels, self.minsup, self.total_size, self.log
         )
         return self.result
+
+    def _count_level(self, candidates: list[Itemset]) -> tuple[list[int], int]:
+        """Count at every site and send each site's count vector to every
+        peer; returns the global counts and the n*|C| entries sent."""
+        n = len(self.matrices)
+        k = len(candidates[0])
+        vectors = [m.count(candidates) for m in self.matrices]
+        for i in range(n):
+            report = LocalReport(
+                site_id=i,
+                k=k,
+                entries=tuple(zip(candidates, vectors[i].tolist())),
+            )
+            for j in range(n):
+                if j != i:
+                    self.log.send(f"site:{i}", f"site:{j}", report)
+        return sum(vectors).tolist(), n * len(candidates)
 
 
 def run_cd(

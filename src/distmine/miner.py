@@ -1,6 +1,6 @@
 """Level-wise frequent-itemset machinery: thresholds, candidate generation,
-per-round metrics, and a sequential miner used as the correctness reference
-for the distributed algorithms."""
+the level loop and per-round metrics every miner shares, and the sequential
+miner that is the correctness reference for the distributed algorithms."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import numpy as np
 
 from .dataset import Itemset, TransactionDb
 from .lmatrix import LMatrix, ScanCounter
+from .messages import MessageLog
 
 
 def itemset_key(x: Itemset) -> tuple[int, Itemset]:
@@ -121,19 +122,55 @@ class MiningResult:
 class RoundMetrics:
     """Per-level counters shared by all runs.
 
-    Candidate counters are distinct-across-sites: ``candidates_generated``
-    is the number of distinct itemsets proposed anywhere this round and
-    ``candidates_after_local_prune`` the distinct itemsets actually counted.
-    ``llk_total`` sums the entries of all local reports.
+    ``candidates_generated`` is the number of distinct itemsets counted
+    anywhere this round; ``llk_total`` sums the entries of all local reports.
     """
 
     k: int
     candidates_generated: int
-    candidates_after_local_prune: int
     messages_sent: int
     payload_bytes: int
     llk_total: int
     lk_size: int
+
+
+def mine_levels(
+    levels, minsup: Fraction, db_size: int, log: MessageLog
+) -> tuple[MiningResult, list[RoundMetrics]]:
+    """The level loop of every miner. ``levels`` yields, per level, its
+    frequent itemsets with their counts, the number of distinct candidates
+    counted and of report entries sent; the miner stops by ending it. A
+    level's metrics row counts what ``log`` recorded while the level ran."""
+    frequent: dict[Itemset, int] = {}
+    metrics: list[RoundMetrics] = []
+    sent, sent_bytes = log.messages_sent, log.payload_bytes
+    for k, (level, candidates, entries) in enumerate(levels, 1):
+        frequent.update(level)
+        metrics.append(
+            RoundMetrics(
+                k=k,
+                candidates_generated=candidates,
+                messages_sent=log.messages_sent - sent,
+                payload_bytes=log.payload_bytes - sent_bytes,
+                llk_total=entries,
+                lk_size=len(level),
+            )
+        )
+        sent, sent_bytes = log.messages_sent, log.payload_bytes
+    return MiningResult(minsup=minsup, db_size=db_size, frequent=frequent), metrics
+
+
+def apriori_levels(universe: int, thr: int, count):
+    """The levels of sequential and cd: every item at level 1, then
+    ``apriori_gen`` of the last level, until no candidate is left (so a
+    universe of 0 runs no level). ``count(candidates)`` returns the global
+    counts and the number of report entries it sent."""
+    candidates: list[Itemset] = [(i,) for i in range(universe)]
+    while candidates:
+        counts, entries = count(candidates)
+        level = {x: n for x, n in zip(candidates, counts) if n >= thr}
+        yield level, len(candidates), entries
+        candidates = apriori_gen(level) if level else []
 
 
 def run_sequential(
@@ -141,35 +178,21 @@ def run_sequential(
 ) -> tuple[MiningResult, list[RoundMetrics]]:
     """Exact single-site Apriori over a bit matrix, with per-level metrics.
 
-    Counts candidates level by level on an LMatrix built in one scan. An
-    empty database yields an empty result and no levels (its threshold of
-    zero would otherwise make every itemset vacuously frequent). Levels
-    send no messages and prune nothing locally.
+    Runs ``apriori_levels`` on an LMatrix built in one scan, counting each
+    level on that one matrix. An empty database yields an empty result and
+    no levels (its threshold of zero would otherwise make every itemset
+    vacuously frequent). Levels send no messages and report no entries.
     """
     s = parse_minsup(minsup)
-    frequent: dict[Itemset, int] = {}
-    metrics: list[RoundMetrics] = []
+    levels = ()
     if db.size > 0:
-        thr = threshold(s, db.size)
         matrix = LMatrix.from_db(db, ScanCounter())
-        candidates: list[Itemset] = [(i,) for i in range(db.universe)]
-        while candidates:
-            counts = matrix.count(candidates).tolist()
-            level = {x: n for x, n in zip(candidates, counts) if n >= thr}
-            frequent.update(level)
-            metrics.append(
-                RoundMetrics(
-                    k=len(metrics) + 1,
-                    candidates_generated=len(candidates),
-                    candidates_after_local_prune=len(candidates),
-                    messages_sent=0,
-                    payload_bytes=0,
-                    llk_total=0,
-                    lk_size=len(level),
-                )
-            )
-            candidates = apriori_gen(level) if level else []
-    return MiningResult(minsup=s, db_size=db.size, frequent=frequent), metrics
+        levels = apriori_levels(
+            db.universe,
+            threshold(s, db.size),
+            lambda candidates: (matrix.count(candidates).tolist(), 0),
+        )
+    return mine_levels(levels, s, db.size, MessageLog())
 
 
 def sequential_apriori(db: TransactionDb, minsup) -> MiningResult:

@@ -21,6 +21,7 @@ from .miner import (
     RoundMetrics,
     apriori_gen,
     itemset_key,
+    mine_levels,
     parse_minsup,
     threshold,
 )
@@ -255,9 +256,10 @@ class ImprovedRun:
     """One deterministic simulated run of the distributed protocol.
 
     Rounds are barrier-synchronized and all actors run in-process; state
-    moves only through protocol messages. After ``run()`` the instance
-    exposes per-round metrics, the full message trace, the sites (for scan
-    counters), and the itemsets the max-count bound pruned.
+    moves only through protocol messages. ``run`` hands the shared loop
+    (``miner.mine_levels``) one round per level. After ``run()`` the
+    instance exposes per-round metrics, the full message trace, the sites
+    (for scan counters), and the itemsets the max-count bound pruned.
     """
 
     def __init__(
@@ -282,60 +284,45 @@ class ImprovedRun:
     def run(self) -> MiningResult:
         if self.result is not None:
             raise RuntimeError("run() may only be called once per instance")
-        frequent: dict[Itemset, int] = {}
-        k = 0
-        while True:
-            k += 1
-            outcome = self._run_round(k)
-            frequent.update(dict(outcome.frequent))
-            if not outcome.continue_flag:
-                break
-        self.result = MiningResult(
-            minsup=self.minsup, db_size=self.center.total_size, frequent=frequent
+        self.result, self.metrics = mine_levels(
+            self._rounds(), self.minsup, self.center.total_size, self.log
         )
         return self.result
 
-    def _run_round(self, k: int) -> GlobalResult:
-        msgs0, bytes0 = self.log.messages_sent, self.log.payload_bytes
-        cand_union: set[Itemset] = set()
-        llk_total = 0
+    def _rounds(self):
+        """One protocol round per level, for ``mine_levels``: reports,
+        aggregation, polls, finalize and the result broadcast. Level 1
+        always runs; the rounds stop when the center clears ``continue_flag``."""
+        while True:
+            k = self.center.level + 1
+            candidates: set[Itemset] = set()
+            reports = []
+            for site in self.sites:
+                rep = site.build_report(k)
+                candidates.update(site.last_candidates)
+                self.log.send(f"site:{site.site_id}", "center", rep)
+                reports.append(rep)
 
-        reports = []
-        for site in self.sites:
-            rep = site.build_report(k)
-            cand_union.update(site.last_candidates)
-            llk_total += len(rep.entries)
-            self.log.send(f"site:{site.site_id}", "center", rep)
-            reports.append(rep)
+            immediate, pruned, requests = self.center.aggregate(reports)
+            self.maxcount_pruned.extend((k, x) for x in pruned)
 
-        immediate, pruned, requests = self.center.aggregate(reports)
-        self.maxcount_pruned.extend((k, x) for x in pruned)
+            responses = []
+            for site_id in sorted(requests):
+                req = requests[site_id]
+                self.log.send("center", f"site:{site_id}", req)
+                resp = self.sites[site_id].handle_count_request(req)
+                self.log.send(f"site:{site_id}", "center", resp)
+                responses.append(resp)
 
-        responses = []
-        for site_id in sorted(requests):
-            req = requests[site_id]
-            self.log.send("center", f"site:{site_id}", req)
-            resp = self.sites[site_id].handle_count_request(req)
-            self.log.send(f"site:{site_id}", "center", resp)
-            responses.append(resp)
+            outcome = self.center.finalize(responses)
+            for site in self.sites:
+                self.log.send("center", f"site:{site.site_id}", outcome)
+                site.update_heavy(outcome)
 
-        outcome = self.center.finalize(responses)
-        for site in self.sites:
-            self.log.send("center", f"site:{site.site_id}", outcome)
-            site.update_heavy(outcome)
-
-        self.metrics.append(
-            RoundMetrics(
-                k=k,
-                candidates_generated=len(cand_union),
-                candidates_after_local_prune=len(cand_union),
-                messages_sent=self.log.messages_sent - msgs0,
-                payload_bytes=self.log.payload_bytes - bytes0,
-                llk_total=llk_total,
-                lk_size=len(outcome.frequent),
-            )
-        )
-        return outcome
+            entries = sum(len(rep.entries) for rep in reports)
+            yield outcome.frequent, len(candidates), entries
+            if not outcome.continue_flag:
+                return
 
 
 def run_improved(

@@ -37,7 +37,6 @@ class TestCountDistribution:
         first = run.metrics[0]
         # level 1 candidates: one per item in the universe, at every site
         assert first.candidates_generated == market_db.universe
-        assert first.candidates_after_local_prune == first.candidates_generated
         assert first.llk_total == 2 * market_db.universe
 
     def test_trace_actors_are_sites_only(self, market_db):

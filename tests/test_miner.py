@@ -12,9 +12,14 @@ from bruteforce import (
 from conftest import MARKET_FREQUENT, corpus_db
 
 from distmine import (
+    PartitionSpec,
     apriori_gen,
     load_fimi,
     parse_minsup,
+    partition,
+    run_cd,
+    run_improved,
+    run_sequential,
     sequential_apriori,
     threshold,
 )
@@ -206,3 +211,35 @@ class TestSequentialApriori:
         result = sequential_apriori(db, "0.3")
         for x, count in result.frequent.items():
             assert count == naive_support(db.transactions, x)
+
+
+class TestStopRules:
+    """The miners share one level loop but not its stop rule: sequential and
+    cd stop before a level without candidates; improved always runs level 1
+    and closes with an empty round when |L_k| > k but the join is empty."""
+
+    @staticmethod
+    def levels(db, minsup, spec):
+        parts = partition(db, spec)
+        return {
+            "sequential": run_sequential(db, minsup)[1],
+            "cd": run_cd(parts, minsup)[1],
+            "improved": run_improved(parts, minsup)[1],
+        }
+
+    def test_universe_zero(self):
+        db = TransactionDb(((), (), ()), universe=0)
+        runs = self.levels(db, "0.5", PartitionSpec(n_sites=3))
+        assert runs["sequential"] == runs["cd"] == []
+        [only] = runs["improved"]
+        assert (only.k, only.messages_sent, only.lk_size) == (1, 6, 0)
+
+    def test_closing_round_after_empty_join(self):
+        db = TransactionDb(((0, 1), (0, 1), (2, 3), (2, 3), (4, 5), (4, 5)), universe=6)
+        runs = self.levels(db, "1/3", PartitionSpec(n_sites=2, strategy="round-robin"))
+        for name in ("sequential", "cd"):
+            assert [(m.k, m.lk_size) for m in runs[name]] == [(1, 6), (2, 3)], name
+        *first, closing = runs["improved"]
+        assert [(m.k, m.lk_size) for m in first] == [(1, 6), (2, 3)]
+        assert closing.k == 3 and closing.lk_size == 0
+        assert (closing.candidates_generated, closing.messages_sent) == (0, 4)
