@@ -8,6 +8,8 @@ The count exchange costs exactly n*(n-1) messages per level.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .dataset import Itemset, TransactionDb
 from .lmatrix import LMatrix, ScanCounter
 from .messages import LocalReport, MessageLog
@@ -52,14 +54,10 @@ class CountDistributionRun:
         """Count at every site and send each site's count vector to every
         peer; returns the global counts and the n*|C| entries sent."""
         n = len(self.matrices)
-        k = len(candidates[0])
-        vectors = [m.count(candidates) for m in self.matrices]
+        rows = np.array(candidates, dtype=np.int64)
+        vectors = [m.count(rows) for m in self.matrices]
         for i in range(n):
-            report = LocalReport(
-                site_id=i,
-                k=k,
-                entries=tuple(zip(candidates, vectors[i].tolist())),
-            )
+            report = LocalReport.from_rows(rows, vectors[i], site_id=i, k=rows.shape[1])
             for j in range(n):
                 if j != i:
                     self.log.send(f"site:{i}", f"site:{j}", report)

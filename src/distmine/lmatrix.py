@@ -86,12 +86,12 @@ class LMatrix:
         ``COUNT_CHUNK_BYTES``, so memory does not grow with the size of the
         level. Items outside ``[0, n_cols)`` occur in no transaction here, so
         an itemset holding one counts 0. Empty or mixed-length itemsets raise
-        ValueError.
+        ValueError. An int64 array of rows is read without a copy.
         """
         counts = np.zeros(len(itemsets), dtype=np.int64)
         if not len(itemsets):
             return counts
-        rows = np.array(itemsets, dtype=np.int64)
+        rows = np.asarray(itemsets, dtype=np.int64)
         if rows.ndim != 2 or rows.shape[1] == 0:
             raise ValueError("count takes non-empty itemsets of one length")
         known = np.flatnonzero(((rows >= 0) & (rows < self.n_cols)).all(axis=1))

@@ -2,105 +2,187 @@
 
 Every exchange between actors is a self-contained, serializable value, so
 the in-process simulation could be replaced by real transport without
-touching the algorithms. Payload bytes follow a fixed canonical encoding
-(8 bytes per header field, 4 per item id, 8 per count) so byte metrics are
+touching the algorithms. A message is columnar: its level-k itemsets are the
+rows of a read-only (m, k) int64 array ``rows`` in strictly rising
+lexicographic order and, except in a CountRequest, their counts are the
+read-only int64 vector ``supports``. The miners build messages from arrays
+with ``from_rows``; the constructors take the tuple fields (``entries``,
+``itemsets``, ``counts``, ``frequent``), which are otherwise tuple views
+made on first use. Payload bytes follow a fixed canonical encoding (8 bytes
+per header field, 4 per item id, 8 per count) so byte metrics are
 implementation-independent.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-import operator
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 from .dataset import Itemset
 
 CountEntry = tuple[Itemset, int]
 
 
-def _check_sorted(itemsets, k: int) -> None:
-    """Every itemset of a level-k message has k items, in strictly rising
-    order; with one length, tuple order is the (length, lex) order."""
-    if any(map(k.__ne__, map(len, itemsets))):
+def _check_sorted(rows: np.ndarray, k: int) -> None:
+    """Every itemset of a level-k message has k items, and the rows are in
+    strictly rising lexicographic order; with one length, that is the
+    (length, lex) order."""
+    if rows.ndim != 2 or rows.shape[1] != k:
         raise ValueError(f"a level-{k} message carries only {k}-itemsets")
-    if any(map(operator.ge, itemsets, itemsets[1:])):
+    if len(rows) < 2:
+        return
+    # A row follows its neighbour iff it is greater in the first column where
+    # they differ; in a repeat that is column 0, where they are equal. Two
+    # 0-itemsets always repeat.
+    first = (rows[1:] != rows[:-1]).argmax(axis=1, keepdims=True) if k else None
+    if first is None or not np.take_along_axis(rows[1:] > rows[:-1], first, 1).all():
         raise ValueError("message itemsets must be (length, lex) sorted and duplicate-free")
 
 
-@dataclass(frozen=True)
-class LocalReport:
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+def _tuple_rows(itemsets, k: int) -> np.ndarray:
+    """The rows of a tuple constructor's itemsets; an itemset of another
+    length is refused before numpy sees a ragged list."""
+    itemsets = list(itemsets)
+    if any(map(k.__ne__, map(len, itemsets))):
+        raise ValueError(f"a level-{k} message carries only {k}-itemsets")
+    return np.array(itemsets, dtype=np.int64).reshape(len(itemsets), k)
+
+
+def _tuple_columns(entries, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and supports of a tuple constructor's (itemset, count) pairs."""
+    entries = list(entries)
+    supports = np.array([n for _, n in entries], dtype=np.int64)
+    return _tuple_rows([x for x, _ in entries], k), supports
+
+
+class _Columnar:
+    """The body every message shares: the header fields named in ``HEADER``
+    (``k`` among them), ``rows`` and, if ``COUNTED``, ``supports``.
+    Messages are immutable and compare by value."""
+
+    HEADER: tuple[str, ...]
+    COUNTED = True
+
+    @classmethod
+    def from_rows(cls, rows, supports=None, **header):
+        """The message with the ``HEADER`` fields given by keyword, its
+        itemsets as the rows of ``rows`` and, unless it is a CountRequest,
+        their counts ``supports``. The arrays are not copied: the message
+        holds read-only views of them."""
+        msg = cls.__new__(cls)
+        msg._set(rows, supports, header)
+        return msg
+
+    def _set(self, rows, supports, header: dict) -> None:
+        if sorted(header) != sorted(self.HEADER) or (supports is None) == self.COUNTED:
+            raise TypeError(f"{type(self).__name__} has the fields {self._names()}")
+        rows = np.asarray(rows, dtype=np.int64)
+        _check_sorted(rows, header["k"])
+        fields = dict(header, rows=_read_only(rows))
+        if self.COUNTED:
+            supports = np.asarray(supports, dtype=np.int64)
+            if supports.shape != (len(rows),):
+                raise ValueError("a message carries one count per itemset")
+            fields["supports"] = _read_only(supports)
+        self.__dict__.update(fields)
+
+    def _names(self) -> tuple[str, ...]:
+        return self.HEADER + (("rows", "supports") if self.COUNTED else ("rows",))
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._names())
+
+    def _itemsets(self) -> tuple[Itemset, ...]:
+        return tuple(map(tuple, self.rows.tolist()))
+
+    def _entries(self) -> tuple[CountEntry, ...]:
+        return tuple(zip(self._itemsets(), self.supports.tolist()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(map(np.array_equal, self._fields(), other._fields()))
+
+    def __hash__(self) -> int:
+        return hash(tuple(np.asarray(f).tobytes() for f in self._fields()))
+
+    def __repr__(self) -> str:
+        header = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.HEADER)
+        return f"{type(self).__name__}({header}, itemsets={len(self.rows)})"
+
+
+class LocalReport(_Columnar):
     """A site's locally frequent candidates for level k, with local counts."""
 
-    site_id: int
-    k: int
-    entries: tuple[CountEntry, ...]
+    HEADER = ("site_id", "k")
 
-    def __post_init__(self) -> None:
-        _check_sorted([x for x, _ in self.entries], self.k)
+    def __init__(self, site_id: int, k: int, entries) -> None:
+        self._set(*_tuple_columns(entries, k), dict(site_id=site_id, k=k))
+
+    entries = functools.cached_property(_Columnar._entries)
 
 
-@dataclass(frozen=True)
-class CountRequest:
+class CountRequest(_Columnar):
     """Center asks a site for the local counts of the given itemsets."""
 
-    k: int
-    itemsets: tuple[Itemset, ...]
+    HEADER = ("k",)
+    COUNTED = False
 
-    def __post_init__(self) -> None:
-        _check_sorted(self.itemsets, self.k)
+    def __init__(self, k: int, itemsets) -> None:
+        self._set(_tuple_rows(itemsets, k), None, dict(k=k))
+
+    itemsets = functools.cached_property(_Columnar._itemsets)
 
 
-@dataclass(frozen=True)
-class CountResponse:
+class CountResponse(_Columnar):
     """A site's answer to a CountRequest, itemset for itemset."""
 
-    site_id: int
-    k: int
-    counts: tuple[CountEntry, ...]
+    HEADER = ("site_id", "k")
 
-    def __post_init__(self) -> None:
-        _check_sorted([x for x, _ in self.counts], self.k)
+    def __init__(self, site_id: int, k: int, counts) -> None:
+        self._set(*_tuple_columns(counts, k), dict(site_id=site_id, k=k))
+
+    counts = functools.cached_property(_Columnar._entries)
 
 
-@dataclass(frozen=True)
-class GlobalResult:
+class GlobalResult(_Columnar):
     """Globally frequent level-k itemsets with global counts; continue_flag
     False tells sites the level-wise loop is over."""
 
-    k: int
-    frequent: tuple[CountEntry, ...]
-    continue_flag: bool
+    HEADER = ("k", "continue_flag")
 
-    def __post_init__(self) -> None:
-        _check_sorted([x for x, _ in self.frequent], self.k)
+    def __init__(self, k: int, frequent, continue_flag: bool) -> None:
+        self._set(*_tuple_columns(frequent, k), dict(k=k, continue_flag=continue_flag))
+
+    frequent = functools.cached_property(_Columnar._entries)
 
 
 ProtocolMessage = Union[LocalReport, CountRequest, CountResponse, GlobalResult]
 
-_HEADER_FIELDS = {LocalReport: 2, CountRequest: 1, CountResponse: 2, GlobalResult: 2}
-
-
-def _entries_of(msg: ProtocolMessage) -> tuple:
-    if isinstance(msg, LocalReport):
-        return msg.entries
-    if isinstance(msg, CountRequest):
-        return msg.itemsets
-    if isinstance(msg, CountResponse):
-        return msg.counts
-    return msg.frequent
-
 
 def payload_itemsets(msg: ProtocolMessage) -> int:
     """Number of itemsets carried by a message."""
-    return len(_entries_of(msg))
+    return len(msg.rows)
 
 
 def canonical_size(msg: ProtocolMessage) -> int:
     """Canonical payload size in bytes: the header, then k item ids per
     itemset and, except in a CountRequest, one count."""
-    per_itemset = 4 * msg.k if isinstance(msg, CountRequest) else 4 * msg.k + 8
-    return 8 * _HEADER_FIELDS[type(msg)] + per_itemset * payload_itemsets(msg)
+    per_itemset = 4 * msg.k + 8 * msg.COUNTED
+    return 8 * len(msg.HEADER) + per_itemset * payload_itemsets(msg)
 
 
 @dataclass(frozen=True)

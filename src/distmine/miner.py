@@ -56,6 +56,48 @@ def threshold(minsup, size: int) -> int:
     return -(-(s.numerator * size) // s.denominator)
 
 
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """One key per row of an (m, k) int64 array, k >= 1, for ``searchsorted``:
+    the keys compare as raw bytes, which no id range overflows, in the rows'
+    lexicographic order. Each id is stored big-endian with its sign bit
+    flipped, so its bytes sort in numeric order."""
+    flipped = (rows ^ np.int64(-1 << 63)).astype(">i8")
+    return flipped.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
+
+
+def find_rows(known: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each row of ``rows`` is in ``known``, the ``row_keys`` of sorted,
+    distinct rows, and whether it is there at all."""
+    keys = row_keys(rows)
+    if not len(known):
+        return np.zeros(len(keys), dtype=np.intp), np.zeros(len(keys), dtype=bool)
+    at = np.minimum(np.searchsorted(known, keys), len(known) - 1)
+    return at, known[at] == keys
+
+
+def join_rows(rows: np.ndarray) -> np.ndarray:
+    """The (k+1)-candidates of sorted, distinct k-itemset rows, as sorted
+    rows: every two rows that share their first k-1 items join, and a join
+    with a k-subset missing from ``rows`` is dropped."""
+    # Sorted rows with one (k-1)-prefix are consecutive; every pair (i, j),
+    # i < j, inside such a run joins, in lexicographic order of the result.
+    n, k = rows.shape
+    new_run = np.ones(n, dtype=bool)
+    new_run[1:] = (rows[1:, :-1] != rows[:-1, :-1]).any(axis=1)
+    run_end = np.append(np.flatnonzero(new_run)[1:], n)[np.cumsum(new_run) - 1]
+    partners = run_end - np.arange(1, n + 1)
+    left = np.repeat(np.arange(n), partners)
+    first_pair = np.repeat(np.cumsum(partners) - partners, partners)
+    right = left + 1 + np.arange(len(left)) - first_pair
+    cand = np.concatenate((rows[left], rows[right, -1:]), axis=1)
+    # Dropping either of the two joined positions gives a or b, which are
+    # present by construction; look the remaining k-1 subsets up.
+    known = row_keys(rows)
+    for j in range(k - 1):
+        cand = cand[find_rows(known, np.delete(cand, j, axis=1))[1]]
+    return cand
+
+
 def apriori_gen(prev_frequent) -> list[Itemset]:
     """Generate (k+1)-candidates from the frequent k-itemsets.
 
@@ -73,28 +115,7 @@ def apriori_gen(prev_frequent) -> list[Itemset]:
     rows = np.array(prev, dtype=np.int64)
     if rows.min() < 0:
         raise ValueError("apriori_gen takes non-negative item ids")
-    # Sorted rows with one (k-1)-prefix are consecutive; every pair (i, j),
-    # i < j, inside such a run joins, in lexicographic order of the result.
-    n = len(rows)
-    new_run = np.ones(n, dtype=bool)
-    new_run[1:] = (rows[1:, :-1] != rows[:-1, :-1]).any(axis=1)
-    run_end = np.append(np.flatnonzero(new_run)[1:], n)[np.cumsum(new_run) - 1]
-    partners = run_end - np.arange(1, n + 1)
-    left = np.repeat(np.arange(n), partners)
-    first_pair = np.repeat(np.cumsum(partners) - partners, partners)
-    right = left + 1 + np.arange(len(left)) - first_pair
-    cand = np.concatenate((rows[left], rows[right, -1:]), axis=1)
-    # Dropping either of the two joined positions gives a or b, which are
-    # present by construction; look the remaining k-1 subsets up in the
-    # sorted rows. Rows compare as raw bytes, which no id range overflows;
-    # big-endian, the bytes of non-negative ids sort in numeric order.
-    as_bytes = np.dtype((np.void, 8 * k))
-    known = rows.astype(">i8").view(as_bytes).ravel()
-    for j in range(k - 1):
-        wanted = np.delete(cand, j, axis=1).astype(">i8").view(as_bytes).ravel()
-        at = np.minimum(np.searchsorted(known, wanted), n - 1)
-        cand = cand[known[at] == wanted]
-    return list(zip(*cand.T.tolist()))
+    return list(zip(*join_rows(rows).T.tolist()))
 
 
 @dataclass(frozen=True)

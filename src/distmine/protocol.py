@@ -5,7 +5,9 @@ frequent candidates; the center combines reports, bounds the global count
 of partially reported itemsets, polls the silent sites for survivors, and
 broadcasts each level's globally frequent itemsets. Message traffic per
 level stays within 4n for n sites: n reports, at most n batched count
-requests, their responses, and n result broadcasts.
+requests, their responses, and n result broadcasts. Sites and center hold a
+level's itemsets as int64 row arrays, as the messages carry them, so no
+step loops over itemsets.
 """
 
 from __future__ import annotations
@@ -13,16 +15,19 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
+
 from .dataset import Itemset, TransactionDb
 from .lmatrix import LMatrix, ScanCounter
 from .messages import CountRequest, CountResponse, GlobalResult, LocalReport, MessageLog
 from .miner import (
     MiningResult,
     RoundMetrics,
-    apriori_gen,
-    itemset_key,
+    find_rows,
+    join_rows,
     mine_levels,
     parse_minsup,
+    row_keys,
     threshold,
 )
 
@@ -67,9 +72,23 @@ def local_prune(
     return kept
 
 
+def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stable order that sorts ``rows`` lexicographically and, in that
+    order, a mask of the first row of each run of equal rows."""
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return order, first
+
+
 class LocalSite:
     """Per-partition state machine: builds reports, answers count requests,
-    and tracks which itemsets are heavy here (locally and globally frequent)."""
+    and tracks which itemsets are heavy here (locally and globally frequent).
+
+    Candidates and heavy itemsets are int64 arrays with one itemset per row,
+    in lexicographic order, like the messages; each step is a few numpy
+    calls over a whole level. ``reported`` is the last report sent."""
 
     def __init__(self, site_id: int, part: TransactionDb, minsup: Fraction) -> None:
         if part.size == 0:
@@ -82,16 +101,16 @@ class LocalSite:
         self.universe = part.universe
         self.level = 1  # of the last report; messages must match it
         self.closed = False  # a GlobalResult has closed ``level``
-        self.heavy_prev: set[Itemset] = set()
-        self.reported: dict[Itemset, int] = {}
-        self.last_candidates: list[Itemset] = []
+        nothing = np.empty((0, 1), dtype=np.int64)
+        self.heavy_prev = self.last_candidates = nothing
+        self.reported = LocalReport.from_rows(nothing, nothing[:, 0], site_id=site_id, k=1)
 
-    def local_candidates(self, k: int) -> list[Itemset]:
+    def local_candidates(self, k: int) -> np.ndarray:
         """Level-k candidates: every single item at k=1, otherwise the
         Apriori join over the previous level's heavy itemsets."""
         if k == 1:
-            return [(i,) for i in range(self.universe)]
-        return apriori_gen(self.heavy_prev)
+            return np.arange(self.universe, dtype=np.int64)[:, None]
+        return join_rows(self.heavy_prev)
 
     def build_report(self, k: int) -> LocalReport:
         """Count every level-k candidate and report the locally frequent ones,
@@ -99,16 +118,15 @@ class LocalSite:
         ``local_prune`` would drop no candidate: each (k-1)-subset is heavy
         here, so the least subset count already clears the site threshold."""
         candidates = self.local_candidates(k)
-        counts = self.matrix.count(candidates).tolist()
+        counts = self.matrix.count(candidates)
+        frequent = counts >= self.site_threshold
         self.level = k
         self.closed = False
         self.last_candidates = candidates
-        self.reported = {
-            x: n for x, n in zip(candidates, counts) if n >= self.site_threshold
-        }
-        return LocalReport(
-            site_id=self.site_id, k=k, entries=tuple(self.reported.items())
+        self.reported = LocalReport.from_rows(
+            candidates[frequent], counts[frequent], site_id=self.site_id, k=k
         )
+        return self.reported
 
     def _check_level(self, what: str, k: int) -> None:
         if k != self.level:
@@ -124,8 +142,9 @@ class LocalSite:
             raise ProtocolError(
                 f"site {self.site_id}: count request for closed level {req.k}"
             )
-        counts = tuple(zip(req.itemsets, self.matrix.count(req.itemsets).tolist()))
-        return CountResponse(site_id=self.site_id, k=req.k, counts=counts)
+        return CountResponse.from_rows(
+            req.rows, self.matrix.count(req.rows), site_id=self.site_id, k=req.k
+        )
 
     def update_heavy(self, result: GlobalResult) -> None:
         """Heavy here = globally frequent and reported by this site.
@@ -143,17 +162,26 @@ class LocalSite:
                 f"site {self.site_id}: second global result for level {result.k}"
             )
         self.closed = True
-        self.heavy_prev = {x for x, _ in result.frequent if x in self.reported}
+        reported = find_rows(row_keys(self.reported.rows), result.rows)[1]
+        self.heavy_prev = result.rows[reported]
 
 
 class AggregationOutcome(NamedTuple):
-    immediately_frequent: list[tuple[Itemset, int]]
-    pruned: list[Itemset]
+    """One level's aggregation: the itemsets decided frequent without a poll
+    and those the max-count bound pruned, as rows, and one count request per
+    polled site."""
+
+    immediately_frequent: np.ndarray
+    pruned: np.ndarray
     requests: dict[int, CountRequest]
 
 
 class CenterSite:
-    """Combines local reports into global decisions for one level at a time."""
+    """Combines local reports into global decisions for one level at a time.
+
+    A level's itemsets are int64 rows, as in the messages: the reports are
+    grouped by row with one sort, and every decision is a mask over the
+    groups."""
 
     def __init__(self, site_sizes: list[int], minsup: Fraction) -> None:
         self.n_sites = len(site_sizes)
@@ -161,10 +189,17 @@ class CenterSite:
         self.global_threshold = threshold(minsup, self.total_size)
         self.site_thresholds = [threshold(minsup, d) for d in site_sizes]
         self.level = 0
-        # This level's immediate and polled itemsets in (length, lex) order,
-        # with their running totals, and the sites each still waits on.
-        self._totals: dict[Itemset, int] = {}
-        self._awaiting: dict[Itemset, set[int]] = {}
+        self._open(
+            np.empty((0, self.level), dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            np.empty((0, self.n_sites), dtype=bool),
+        )
+
+    def _open(self, rows: np.ndarray, totals: np.ndarray, awaiting: np.ndarray) -> None:
+        """This level's immediate and polled itemsets as sorted rows (and
+        their keys), their running totals, and the sites each still waits on."""
+        self._rows, self._keys = rows, row_keys(rows)
+        self._totals, self._awaiting = totals, awaiting
 
     def aggregate(self, reports: list[LocalReport]) -> AggregationOutcome:
         """Process one report per site: decide fully reported itemsets on the
@@ -183,36 +218,27 @@ class CenterSite:
             raise ProtocolError(f"reports span multiple levels: {sorted(levels)}")
         self.level = k = levels.pop()
 
-        origins: dict[Itemset, dict[int, int]] = {}
-        for rep in sorted(reports, key=lambda r: r.site_id):
-            for x, n in rep.entries:
-                origins.setdefault(x, {})[rep.site_id] = n
-
-        immediate: list[tuple[Itemset, int]] = []
-        pruned: list[Itemset] = []
-        wanted: dict[int, list[Itemset]] = {}
-        self._totals = {}
-        self._awaiting = {}
-        for x in sorted(origins, key=itemset_key):
-            counts = origins[x]
-            reported = sum(counts.values())
-            silent = [i for i in range(self.n_sites) if i not in counts]
-            max_count = reported + sum(self.site_thresholds[i] - 1 for i in silent)
-            if max_count < self.global_threshold:
-                pruned.append(x)
-                continue
-            if silent:
-                self._awaiting[x] = set(silent)
-                for i in silent:
-                    wanted.setdefault(i, []).append(x)
-            else:
-                immediate.append((x, reported))
-            self._totals[x] = reported
+        reports = sorted(reports, key=lambda r: r.site_id)
+        rows = np.concatenate([r.rows for r in reports])
+        order, first = _runs(rows)
+        site = np.repeat(np.arange(self.n_sites), [len(r.rows) for r in reports])
+        present = np.zeros((np.count_nonzero(first), self.n_sites), dtype=bool)
+        present[np.cumsum(first) - 1, site[order]] = True
+        supports = np.concatenate([r.supports for r in reports])[order]
+        reported = np.add.reduceat(supports, np.flatnonzero(first))
+        silent = ~present
+        max_count = reported + silent @ (np.array(self.site_thresholds) - 1)
+        kept = max_count >= self.global_threshold
+        itemsets = rows[order[first]]
+        self._open(itemsets[kept], reported[kept], silent[kept])
 
         requests = {
-            i: CountRequest(k=k, itemsets=tuple(wanted[i])) for i in sorted(wanted)
+            i: CountRequest.from_rows(self._rows[wanted], k=k)
+            for i, wanted in enumerate(self._awaiting.T)
+            if wanted.any()
         }
-        return AggregationOutcome(immediate, pruned, requests)
+        polled = self._awaiting.any(axis=1)
+        return AggregationOutcome(self._rows[~polled], itemsets[~kept], requests)
 
     def finalize(self, responses: list[CountResponse]) -> GlobalResult:
         """Fold poll responses into totals and close the level.
@@ -228,28 +254,32 @@ class CenterSite:
                 raise ProtocolError(
                     f"response for level {resp.k} during level {self.level}"
                 )
-            for x, n in resp.counts:
-                awaiting = self._awaiting.get(x)
-                if awaiting is None or resp.site_id not in awaiting:
-                    raise ProtocolError(
-                        f"site {resp.site_id} answered unrequested itemset {x!r}"
-                    )
-                awaiting.discard(resp.site_id)
-                self._totals[x] += n
-        still_waiting = [x for x, a in self._awaiting.items() if a]
-        if still_waiting:
+            at, asked = find_rows(self._keys, resp.rows)
+            if 0 <= resp.site_id < self.n_sites:
+                asked[asked] = self._awaiting[at[asked], resp.site_id]
+            else:
+                asked[:] = False
+            if not asked.all():
+                x = tuple(resp.rows[asked.argmin()].tolist())
+                raise ProtocolError(
+                    f"site {resp.site_id} answered unrequested itemset {x!r}"
+                )
+            self._awaiting[at, resp.site_id] = False
+            self._totals[at] += resp.supports
+        waiting = self._awaiting.any(axis=1)
+        if waiting.any():
+            still_waiting = list(map(tuple, self._rows[waiting].tolist()))
             raise ProtocolError(f"missing count responses for {still_waiting!r}")
 
-        frequent = tuple(
-            (x, n) for x, n in self._totals.items() if n >= self.global_threshold
-        )
-        self._totals = {}
-        self._awaiting = {}
-        return GlobalResult(
+        frequent = self._totals >= self.global_threshold
+        result = GlobalResult.from_rows(
+            self._rows[frequent],
+            self._totals[frequent],
             k=self.level,
-            frequent=frequent,
-            continue_flag=len(frequent) > self.level,
+            continue_flag=int(np.count_nonzero(frequent)) > self.level,
         )
+        self._open(self._rows[:0], self._totals[:0], self._awaiting[:0])
+        return result
 
 
 class ImprovedRun:
@@ -295,16 +325,15 @@ class ImprovedRun:
         always runs; the rounds stop when the center clears ``continue_flag``."""
         while True:
             k = self.center.level + 1
-            candidates: set[Itemset] = set()
             reports = []
             for site in self.sites:
                 rep = site.build_report(k)
-                candidates.update(site.last_candidates)
                 self.log.send(f"site:{site.site_id}", "center", rep)
                 reports.append(rep)
+            candidates = np.concatenate([site.last_candidates for site in self.sites])
 
-            immediate, pruned, requests = self.center.aggregate(reports)
-            self.maxcount_pruned.extend((k, x) for x in pruned)
+            _, pruned, requests = self.center.aggregate(reports)
+            self.maxcount_pruned.extend((k, x) for x in map(tuple, pruned.tolist()))
 
             responses = []
             for site_id in sorted(requests):
@@ -319,8 +348,10 @@ class ImprovedRun:
                 self.log.send("center", f"site:{site.site_id}", outcome)
                 site.update_heavy(outcome)
 
-            entries = sum(len(rep.entries) for rep in reports)
-            yield outcome.frequent, len(candidates), entries
+            itemsets = map(tuple, outcome.rows.tolist())
+            frequent = dict(zip(itemsets, outcome.supports.tolist()))
+            distinct = int(np.count_nonzero(_runs(candidates)[1]))
+            yield frequent, distinct, sum(len(rep.rows) for rep in reports)
             if not outcome.continue_flag:
                 return
 

@@ -62,7 +62,8 @@ def local_prune_checks():
     build = LocalSite.build_report
 
     def checked(site, k):
-        candidates, bounds = site.local_candidates(k), site.reported
+        candidates = list(map(tuple, site.local_candidates(k).tolist()))
+        bounds = dict(site.reported.entries)
         report = build(site, k)
         if k > 1:
             kept = local_prune(candidates, bounds, site.site_threshold)

@@ -5,6 +5,10 @@ the traced benchmark run; this checks the bindings on a tiny input."""
 import importlib
 from pathlib import Path
 
+from test_cli import PINNED_RUN
+
+import distmine
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -34,3 +38,41 @@ def test_traced_runs_and_restores(tmp_path, monkeypatch):
     names = {span[0] for span in trace.spans}
     assert {"cli.main", "protocol.run", "count_distribution.run"} <= names
     assert bindings(tracer) == before
+
+
+def test_aggregate_counters_match_an_untraced_run(monkeypatch):
+    # The tracer's aggregate probe counts through len() on the fields of
+    # CenterSite.aggregate's outcome; the same counts, taken from the
+    # messages of an untraced run, pin what those fields mean.
+    db = distmine.generate_synthetic(500, 20, 4, seed=4)
+    parts = distmine.partition(db, distmine.PartitionSpec(5, "random", 7))
+    run = distmine.ImprovedRun(parts, "0.05")
+    sent = []
+    send = run.log.send
+
+    def record(src, dst, msg):
+        sent.append(msg)
+        send(src, dst, msg)
+
+    run.log.send = record
+    run.run()
+    requests = [m for m in sent if isinstance(m, distmine.CountRequest)]
+    everywhere = 0  # itemsets every site reported, which need no poll
+    for k in range(1, len(run.metrics) + 1):
+        reports = [m for m in sent if isinstance(m, distmine.LocalReport) and m.k == k]
+        assert len(reports) == 5
+        everywhere += len(set.intersection(*(set(dict(r.entries)) for r in reports)))
+    expected = {
+        "protocol.decided_immediately": everywhere,
+        "protocol.maxcount_pruned": len(run.maxcount_pruned),
+        "protocol.poll_requests": len(requests),
+        "protocol.polled_itemsets": sum(len(r.itemsets) for r in requests),
+    }
+    assert (expected["protocol.poll_requests"], expected["protocol.maxcount_pruned"]) == (13, 60)
+
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    tracer = importlib.import_module("tracer")
+    trace = tracer.Tracer()
+    with tracer.instrument(trace) as main:
+        assert main([*PINNED_RUN, "--algorithm", "improved"]) == 0
+    assert {name: trace.counts[name] for name in expected} == expected

@@ -220,6 +220,32 @@ class TestRun:
                 assert status == 0
         assert capsys.readouterr().out.count('"frequent"') == 6
 
+    @pytest.mark.parametrize("algorithm", ["improved", "cd"])
+    def test_runs_without_the_message_tuple_views(
+        self, algorithm, market_file, monkeypatch, capsys
+    ):
+        # Sites, center and cd build and read messages as arrays alone.
+        views = [
+            (distmine.LocalReport, "entries"),
+            (distmine.CountRequest, "itemsets"),
+            (distmine.CountResponse, "counts"),
+            (distmine.GlobalResult, "frequent"),
+        ]
+        for cls, name in views:
+
+            def no_view(msg, name=name):
+                raise AssertionError(f"{type(msg).__name__}.{name} was read")
+
+            monkeypatch.setattr(cls, name, property(no_view))
+        for source in (("--input", market_file), ("--synthetic", "T=3,I=12,D=60,seed=5")):
+            for part in ("contiguous", "roundrobin", "random:3"):
+                status = run_cli(
+                    *source, "--minsup", "0.3", "--sites", "3", "--partition", part,
+                    "--algorithm", algorithm,
+                )  # fmt: skip
+                assert status == 0
+        assert capsys.readouterr().out.count('"frequent"') == 6
+
     def test_pinned_run_polls_and_prunes(self):
         db = distmine.generate_synthetic(500, 20, 4, seed=4)
         parts = distmine.partition(db, distmine.PartitionSpec(5, "random", 7))

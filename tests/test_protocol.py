@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from bruteforce import enumerate_frequent
 from conftest import A, B, C, D, E, MARKET_FREQUENT, corpus_db, local_prune_checks
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distmine import (
     CenterSite,
@@ -21,9 +23,14 @@ from distmine import (
     run_improved,
     sequential_apriori,
 )
-from distmine.messages import canonical_size
+from distmine.messages import _check_sorted, canonical_size
 
 TWO_THIRDS = Fraction(2, 3)
+
+
+def itemsets(rows):
+    """The rows of an int64 itemset array as a list of tuples."""
+    return list(map(tuple, rows.tolist()))
 
 
 @pytest.fixture
@@ -39,19 +46,19 @@ def market_center(market_sites):
 
 class TestLocalSite:
     def test_level1_candidates_are_all_items(self, market_sites):
-        assert market_sites[0].local_candidates(1) == [(i,) for i in range(6)]
+        assert itemsets(market_sites[0].local_candidates(1)) == [(i,) for i in range(6)]
 
     def test_candidates_from_heavy_sets(self, market_sites):
         site = market_sites[0]
-        site.heavy_prev = {(A,), (B,), (C,), (E,)}
-        assert site.local_candidates(2) == [
+        site.heavy_prev = np.array([(A,), (B,), (C,), (E,)])
+        assert itemsets(site.local_candidates(2)) == [
             (A, B), (A, C), (A, E), (B, C), (B, E), (C, E),
         ]
 
     def test_no_heavy_sets_no_candidates(self, market_sites):
         site = market_sites[0]
-        site.heavy_prev = set()
-        assert site.local_candidates(2) == []
+        site.heavy_prev = np.empty((0, 1), dtype=np.int64)
+        assert itemsets(site.local_candidates(2)) == []
 
     def test_level1_reports(self, market_sites):
         # site 0 holds {ABC, ABDE} with threshold 2; site 1 holds {ACE}, threshold 1
@@ -63,7 +70,7 @@ class TestLocalSite:
     def test_empty_report_still_produced(self, market_sites):
         site = market_sites[0]
         site.build_report(1)
-        site.heavy_prev = set()
+        site.heavy_prev = np.empty((0, 1), dtype=np.int64)
         rep = site.build_report(2)
         assert rep.entries == ()
 
@@ -91,7 +98,7 @@ class TestLocalSite:
             continue_flag=True,
         )
         site.update_heavy(result)
-        assert site.heavy_prev == {(A,), (B,)}
+        assert itemsets(site.heavy_prev) == [(A,), (B,)]
 
     def test_update_heavy_site1(self, market_sites):
         site = market_sites[1]
@@ -102,13 +109,13 @@ class TestLocalSite:
             continue_flag=True,
         )
         site.update_heavy(result)
-        assert site.heavy_prev == {(A,), (C,), (E,)}
+        assert itemsets(site.heavy_prev) == [(A,), (C,), (E,)]
 
     def test_update_heavy_empty_result(self, market_sites):
         site = market_sites[0]
         site.build_report(1)
         site.update_heavy(GlobalResult(k=1, frequent=(), continue_flag=False))
-        assert site.heavy_prev == set()
+        assert itemsets(site.heavy_prev) == []
 
     def test_update_heavy_ignores_unreported_itemsets(self, market_sites):
         # heavy = reported here and globally frequent: an itemset the site
@@ -116,7 +123,7 @@ class TestLocalSite:
         site = market_sites[0]
         result = GlobalResult(k=1, frequent=(((B,), 2),), continue_flag=True)
         site.update_heavy(result)
-        assert site.heavy_prev == set()
+        assert itemsets(site.heavy_prev) == []
         assert site.scan_counter.raw_scans == 1
 
     def test_update_heavy_needs_no_matrix(self, market_sites):
@@ -130,7 +137,7 @@ class TestLocalSite:
                 continue_flag=True,
             )
         )
-        assert site.heavy_prev == {(A,), (C,), (E,)}
+        assert itemsets(site.heavy_prev) == [(A,), (C,), (E,)]
 
     def test_count_request_for_another_level(self, market_sites):
         site = market_sites[0]
@@ -171,8 +178,24 @@ class TestLocalSite:
             LocalSite(0, TransactionDb(transactions=(), universe=2), TWO_THIRDS)
 
 
+_HEADERS = {
+    LocalReport: dict(site_id=0, k=2),
+    CountRequest: dict(k=2),
+    CountResponse: dict(site_id=0, k=2),
+    GlobalResult: dict(k=2, continue_flag=True),
+}
+
+
 def _message(kind, itemsets):
-    """A level-2 message of type ``kind`` carrying ``itemsets``, count 1 each."""
+    """A level-2 message carrying ``itemsets``, count 1 each. ``kind`` is a
+    message type, built by its tuple constructor, or a (type, from_rows)
+    pair; with from_rows True the message is built from arrays."""
+    kind, from_rows = kind if isinstance(kind, tuple) else (kind, False)
+    if from_rows:
+        width = len(itemsets[0]) if itemsets else 2
+        rows = np.array(itemsets, dtype=np.int64).reshape(len(itemsets), width)
+        supports = None if kind is CountRequest else np.ones(len(rows), dtype=np.int64)
+        return kind.from_rows(rows, supports, **_HEADERS[kind])
     entries = tuple((x, 1) for x in itemsets)
     if kind is LocalReport:
         return LocalReport(site_id=0, k=2, entries=entries)
@@ -184,6 +207,29 @@ def _message(kind, itemsets):
 
 
 MESSAGE_TYPES = [LocalReport, CountRequest, CountResponse, GlobalResult]
+VIEWS = {LocalReport: "entries", CountRequest: "itemsets", CountResponse: "counts",
+         GlobalResult: "frequent"}  # fmt: skip
+
+# Every message type by its tuple constructor (named after the type) and
+# by its array constructor.
+CONSTRUCTORS = [pytest.param((kind, False), id=kind.__name__) for kind in MESSAGE_TYPES] + [
+    pytest.param((kind, True), id=f"{kind.__name__}.from_rows") for kind in MESSAGE_TYPES
+]
+
+# Ids for the order check: small ones close together, ones around 2**40 and
+# any int64, so that rows tie, cross zero and fill all eight bytes.
+ITEM_IDS = st.one_of(
+    st.integers(-3, 3), st.integers(2**40 - 2, 2**40 + 2), st.integers(-(2**63), 2**63 - 1)
+)
+
+
+@st.composite
+def row_lists(draw):
+    k = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.tuples(*[ITEM_IDS] * k), max_size=6))
+    if draw(st.booleans()):
+        rows.sort()
+    return k, rows
 
 
 class TestMessages:
@@ -196,20 +242,75 @@ class TestMessages:
         with pytest.raises(ValueError, match="level-2 message"):
             _message(kind, itemsets)
 
-    @pytest.mark.parametrize("kind", MESSAGE_TYPES)
-    @pytest.mark.parametrize("itemsets", [[(A, C), (A, B)], [(A, B), (A, B)]])
+    @pytest.mark.parametrize("kind", CONSTRUCTORS)
+    @pytest.mark.parametrize("itemsets", [[(A,)], [(A, B, C), (A, B, D)]])
+    def test_rejects_rows_of_another_width(self, kind, itemsets):
+        # A ragged list is no array; rows of one wrong width are refused alike.
+        with pytest.raises(ValueError, match="level-2 message"):
+            _message(kind, itemsets)
+
+    @pytest.mark.parametrize("kind", CONSTRUCTORS)
+    @pytest.mark.parametrize(
+        "itemsets",
+        [[(A, C), (A, B)], [(A, B), (A, B)], [(B, 2**40), (B, -1)], [(-1, A), (-2, A)]],
+    )
     def test_rejects_unsorted_or_repeated_itemsets(self, kind, itemsets):
         with pytest.raises(ValueError, match="sorted and duplicate-free"):
             _message(kind, itemsets)
 
-    @pytest.mark.parametrize("kind", MESSAGE_TYPES)
+    @pytest.mark.parametrize("kind", CONSTRUCTORS)
     def test_canonical_size_counts_every_entry(self, kind):
         itemsets = [(A, B), (A, 300), (B, 2**40)]
         header = {LocalReport: 2, CountRequest: 1, CountResponse: 2, GlobalResult: 2}
-        count_bytes = 0 if kind is CountRequest else 8
-        expected = 8 * header[kind] + sum(4 * len(x) + count_bytes for x in itemsets)
+        count_bytes = 0 if kind[0] is CountRequest else 8
+        expected = 8 * header[kind[0]] + sum(4 * len(x) + count_bytes for x in itemsets)
         assert canonical_size(_message(kind, itemsets)) == expected
-        assert canonical_size(_message(kind, [])) == 8 * header[kind]
+        assert canonical_size(_message(kind, [])) == 8 * header[kind[0]]
+
+    @pytest.mark.parametrize("kind", MESSAGE_TYPES)
+    @pytest.mark.parametrize("itemsets", [[], [(-5, 3), (A, B), (A, 300), (B, 2**40)]])
+    def test_constructors_agree(self, kind, itemsets):
+        by_tuples, by_rows = _message(kind, itemsets), _message((kind, True), itemsets)
+        assert by_tuples == by_rows
+        assert canonical_size(by_tuples) == canonical_size(by_rows)
+        view = getattr(by_rows, VIEWS[kind])
+        assert view == getattr(by_tuples, VIEWS[kind])
+        expected = tuple(itemsets) if kind is CountRequest else tuple((x, 1) for x in itemsets)
+        assert view == expected
+        assert type(view) is tuple and all(type(x) is tuple for x in expected)
+
+    def test_array_constructor_keeps_read_only_views(self):
+        rows = np.array([(A, B), (A, C)], dtype=np.int64)
+        supports = np.array([4, 5], dtype=np.int64)
+        msg = LocalReport.from_rows(rows, supports, site_id=1, k=2)
+        assert np.shares_memory(msg.rows, rows) and np.shares_memory(msg.supports, supports)
+        assert not msg.rows.flags.writeable and not msg.supports.flags.writeable
+        with pytest.raises(AttributeError, match="immutable"):
+            msg.k = 3
+        assert msg != LocalReport.from_rows(rows, supports + 1, site_id=1, k=2)
+        assert hash(msg) == hash(LocalReport(site_id=1, k=2, entries=msg.entries))
+
+    def test_array_constructor_wants_one_count_per_itemset(self):
+        rows = np.array([(A, B), (A, C)], dtype=np.int64)
+        with pytest.raises(ValueError, match="one count per itemset"):
+            GlobalResult.from_rows(rows, np.ones(3, np.int64), k=2, continue_flag=False)
+        with pytest.raises(TypeError, match="fields"):
+            CountRequest.from_rows(rows, np.ones(2, np.int64), k=2)
+        with pytest.raises(TypeError, match="fields"):
+            CountResponse.from_rows(rows, np.ones(2, np.int64), k=2)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(row_lists())
+    def test_order_check_agrees_with_tuple_order(self, case):
+        k, rows = case
+        rising = all(a < b for a, b in zip(rows, rows[1:]))
+        array = np.array(rows, dtype=np.int64).reshape(len(rows), k)
+        try:
+            _check_sorted(array, k)
+        except ValueError:
+            assert not rising, rows
+        else:
+            assert rising, rows
 
 
 class TestLocalPrune:
@@ -241,21 +342,24 @@ class TestLocalPrune:
                 continue_flag=True,
             )
         )
-        cands = site.local_candidates(2)
-        assert local_prune(cands, site.reported, site.site_threshold) == cands
+        cands = itemsets(site.local_candidates(2))
+        assert local_prune(cands, dict(site.reported.entries), site.site_threshold) == cands
 
 
 class TestCenterSite:
     def test_aggregate_market_level1(self, market_sites, market_center):
         reports = [s.build_report(1) for s in market_sites]
         immediate, pruned, requests = market_center.aggregate(reports)
-        assert immediate == [((A,), 3)]
-        assert pruned == []
+        assert itemsets(immediate) == [(A,)]
+        assert itemsets(pruned) == []
         # B missing from site 1; C and E missing from site 0, one batched
         # request per site
         assert set(requests) == {0, 1}
         assert requests[0].itemsets == ((C,), (E,))
         assert requests[1].itemsets == ((B,),)
+        # A's total is the sum of its two reports, with no poll
+        polled = [market_sites[i].handle_count_request(requests[i]) for i in (0, 1)]
+        assert ((A,), 3) in market_center.finalize(polled).frequent
 
     def test_maxcount_bound_values(self, market_center):
         # B reported only by site 0 with count 2: bound 2 + (1-1) = 2, kept;
@@ -265,7 +369,7 @@ class TestCenterSite:
             LocalReport(site_id=1, k=1, entries=(((C,), 1),)),
         ]
         _, pruned, requests = market_center.aggregate(reports)
-        assert pruned == []
+        assert itemsets(pruned) == []
         assert requests[0].itemsets == ((C,),)
         assert requests[1].itemsets == ((B,),)
 
@@ -278,8 +382,8 @@ class TestCenterSite:
             LocalReport(site_id=1, k=1, entries=()),
         ]
         immediate, pruned, requests = center.aggregate(reports)
-        assert immediate == []
-        assert pruned == [(A,)]
+        assert itemsets(immediate) == []
+        assert itemsets(pruned) == [(A,)]
         assert requests == {}
 
     def test_finalize_market_level1(self, market_sites, market_center):
@@ -347,6 +451,75 @@ class TestCenterSite:
         _, _, requests = market_center.aggregate(reports)
         answered = [market_sites[1].handle_count_request(requests[1])]
         with pytest.raises(ProtocolError, match="missing count responses"):
+            market_center.finalize(answered)
+
+    def test_any_int64_ids_are_polled_and_summed(self):
+        # global threshold 4, site thresholds 2: -1 is reported by both
+        # sites, the other two ids are polled from site 1
+        center = CenterSite([4, 4], Fraction(1, 2))
+        low, high = -(2**62), 2**40
+        reports = [
+            LocalReport(site_id=0, k=1, entries=(((low,), 3), ((-1,), 2), ((high,), 3))),
+            LocalReport(site_id=1, k=1, entries=(((-1,), 3),)),
+        ]
+        immediate, _, requests = center.aggregate(reports)
+        assert itemsets(immediate) == [(-1,)]
+        assert requests[1].itemsets == ((low,), (high,))
+        answer = CountResponse(site_id=1, k=1, counts=(((low,), 0), ((high,), 1)))
+        result = center.finalize([answer])
+        assert result.frequent == (((-1,), 5), ((high,), 4))
+
+    def test_second_answer_for_an_itemset_rejected(self, market_sites, market_center):
+        reports = [s.build_report(1) for s in market_sites]
+        _, _, requests = market_center.aggregate(reports)
+        answer = market_sites[0].handle_count_request(requests[0])
+        again = CountResponse(site_id=0, k=1, counts=(((E,), 1),))
+        with pytest.raises(ProtocolError, match=r"site 0 answered unrequested itemset \(5,\)"):
+            market_center.finalize([answer, again])
+
+    @pytest.mark.parametrize("site_id", [0, 1, 3, -1])
+    def test_response_from_a_site_not_polled_rejected(self, site_id):
+        # three sites, global threshold 4, site thresholds 2 each: A is
+        # missing only from site 2, so only site 2 is polled
+        center = CenterSite([4, 4, 4], Fraction(1, 3))
+        reports = [
+            LocalReport(site_id=0, k=1, entries=(((A,), 2),)),
+            LocalReport(site_id=1, k=1, entries=(((A,), 2),)),
+            LocalReport(site_id=2, k=1, entries=()),
+        ]
+        _, _, requests = center.aggregate(reports)
+        assert list(requests) == [2]
+        rogue = CountResponse(site_id=site_id, k=1, counts=(((A,), 1),))
+        with pytest.raises(ProtocolError, match=f"site {site_id} answered unrequested"):
+            center.finalize([rogue])
+
+    @pytest.mark.parametrize("itemset", [(D,), (0,), (40,), (-1,)])
+    def test_response_outside_the_level_rejected(self, market_sites, market_center, itemset):
+        # D and 0 were reported by no site, 40 and -1 are no item here
+        reports = [s.build_report(1) for s in market_sites]
+        market_center.aggregate(reports)
+        rogue = CountResponse(site_id=1, k=1, counts=((itemset, 0),))
+        with pytest.raises(ProtocolError, match=f"unrequested itemset \\({itemset[0]},\\)"):
+            market_center.finalize([rogue])
+
+    def test_pruned_itemset_answer_rejected(self):
+        center = CenterSite([4, 4], Fraction(1, 2))
+        reports = [
+            LocalReport(site_id=0, k=1, entries=(((A,), 2),)),
+            LocalReport(site_id=1, k=1, entries=()),
+        ]
+        _, pruned, _ = center.aggregate(reports)
+        assert len(pruned) == 1
+        with pytest.raises(ProtocolError, match="unrequested"):
+            center.finalize([CountResponse(site_id=1, k=1, counts=(((A,), 2),))])
+
+    def test_partial_answer_rejected(self, market_sites, market_center):
+        reports = [s.build_report(1) for s in market_sites]
+        _, _, requests = market_center.aggregate(reports)
+        assert requests[0].itemsets == ((C,), (E,))
+        partial = CountResponse(site_id=0, k=1, counts=(((C,), 1),))
+        answered = [partial, market_sites[1].handle_count_request(requests[1])]
+        with pytest.raises(ProtocolError, match=r"missing count responses for \[\(5,\)\]"):
             market_center.finalize(answered)
 
     def test_wrong_level_response_rejected(self, market_sites, market_center):
