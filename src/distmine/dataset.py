@@ -25,6 +25,10 @@ PARTITION_STRATEGIES = ("contiguous", "round-robin", "random")
 
 INT64_MAX = (1 << 63) - 1
 
+# Bytes each working buffer of a chunked kernel may hold: the generator's
+# draw, a block of the bit-matrix build and a chunk of ``LMatrix.count``.
+CHUNK_BYTES = 1 << 18
+
 
 class FimiFormatError(ValueError):
     """Raised when FIMI input contains a token that is not a non-negative integer."""
@@ -170,8 +174,8 @@ _POW10 = 10 ** np.arange(18, dtype=np.int64)
 
 
 def _rows_of(line: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lengths, items) of the non-blank lines from tokens in line order:
-    each line's items sorted and duplicate-free."""
+    """(lengths, items) of the non-blank lines from at least one token, in
+    ascending line order: each line's items sorted and duplicate-free."""
     same_line = line[1:] == line[:-1]
     if not ((values[1:] > values[:-1]) | ~same_line).all():
         order = np.lexsort((values, line))
@@ -179,7 +183,9 @@ def _rows_of(line: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarr
         keep = np.ones(len(values), dtype=bool)
         keep[1:] = (values[1:] != values[:-1]) | ~same_line
         values, line = values[keep], line[keep]
-    return np.unique(line, return_counts=True)[1], values
+        same_line = line[1:] == line[:-1]
+    # A line's tokens are one run; a run ends where the line id changes.
+    return np.diff(np.flatnonzero(~same_line), prepend=-1, append=len(line) - 1), values
 
 
 def _parse_digits(text: str) -> tuple[np.ndarray, np.ndarray] | None:
@@ -207,7 +213,8 @@ def _parse_digits(text: str) -> tuple[np.ndarray, np.ndarray] | None:
     place = np.repeat(ends, widths) - np.flatnonzero(digit) - 1
     terms = (buf[digit] - ord("0")).astype(np.int64) * _POW10[place]
     values = np.add.reduceat(terms, _offsets(widths)[:-1])
-    line = np.searchsorted(np.flatnonzero(buf == ord("\n")), starts)
+    # A token's line is the number of line feeds before its start.
+    line = np.cumsum(buf == ord("\n"))[starts]
     return _rows_of(line, values)
 
 
@@ -327,7 +334,9 @@ def generate_synthetic(
     common and frequent patterns exist. Deterministic for a given seed, and
     the first k transactions of an n-transaction database equal the
     k-transaction database for the same seed (each row consumes a fixed
-    amount of the random stream). Rows are drawn in chunks of a few MB.
+    amount of the random stream). Rows are drawn in chunks whose
+    ``(rows, n_items + 1)`` float64 draw fits ``CHUNK_BYTES``, into buffers
+    allocated once per call; only the output grows with the database.
     """
     if n_items < 1:
         raise ValueError("n_items must be >= 1")
@@ -346,20 +355,31 @@ def generate_synthetic(
     cdf = np.cumsum(np.exp(log_pmf))
     exponents = np.arange(1, n_items + 1, dtype=np.float64)
     ranks = np.arange(n_items)
-    chunk = max(1, (1 << 19) // (n_items + 1))
+    chunk = max(1, min(CHUNK_BYTES // (8 * (n_items + 1)), n_transactions))
+    # The draws, keys, sorted keys and winner mask of a chunk.
+    buffers = (
+        np.empty((chunk, n_items + 1)),
+        np.empty((chunk, n_items)),
+        np.empty((chunk, n_items)),
+        np.empty((chunk, n_items), dtype=bool),
+    )
     lengths, items = [_EMPTY], [_EMPTY]
     for start in range(0, n_transactions, chunk):
+        rows = min(chunk, n_transactions - start)
+        u, keys, sorted_keys, picked = (b[:rows] for b in buffers)
         # Consecutive draws continue one stream, so chunking keeps the bytes.
-        u = rng.random((min(chunk, n_transactions - start), n_items + 1))
+        rng.random(out=u)
         length = np.searchsorted(cdf, u[:, 0])
         np.clip(length, 1, n_items, out=length)
         # Weighted sampling without replacement: key_i = u_i ** (1/w_i) with
         # w_i = 1/(i+1); the row's ``length`` largest keys win
         # (Efraimidis-Spirakis). A mask of the winners lists them in
         # ascending id order.
-        keys = u[:, 1:] ** exponents
-        kth = np.sort(keys, axis=1)[np.arange(len(u)), n_items - length]
-        picked = keys >= kth[:, None]
+        np.power(u[:, 1:], exponents, out=keys)
+        np.copyto(sorted_keys, keys)
+        sorted_keys.sort(axis=1)
+        kth = sorted_keys[np.arange(rows), n_items - length]
+        np.greater_equal(keys, kth[:, None], out=picked)
         # A tie across the cut (keys that underflow to 0) goes to the lower
         # ids, as in a stable sort of the keys in descending order.
         tied = np.flatnonzero(np.count_nonzero(picked, axis=1) != length)
@@ -369,7 +389,7 @@ def generate_synthetic(
             np.put_along_axis(fix, order, ranks < length[tied, None], axis=1)
             picked[tied] = fix
         lengths.append(length)
-        items.append(np.nonzero(picked)[1])
+        items.append(np.flatnonzero(picked) % n_items)
     return TransactionDb._trusted(
         _offsets(np.concatenate(lengths)), np.concatenate(items), n_items
     )

@@ -11,10 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import Itemset, TransactionDb
-
-# Bytes each temporary of ``LMatrix.count`` may hold.
-COUNT_CHUNK_BYTES = 1 << 18
+from .dataset import CHUNK_BYTES, Itemset, TransactionDb
 
 
 class ScanCounter:
@@ -44,13 +41,26 @@ class LMatrix:
     @classmethod
     def from_db(cls, db: TransactionDb, counter: ScanCounter) -> "LMatrix":
         """Build the matrix in one scan of ``db``'s CSR arrays; increments
-        ``counter`` once. Temporaries grow with the (row, item) pairs."""
+        ``counter`` once. Rows are ORed in by blocks of whole 64-row words:
+        a block holds as many words of rows as keep one int64 per (row,
+        item) pair within ``CHUNK_BYTES``, and at least one, so only the
+        matrix grows with the database."""
         n_rows, n_cols = db.size, db.universe
-        n_words = (n_rows + 63) >> 6
-        words = np.zeros((n_cols, n_words), dtype=np.uint64)
-        rows = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(db.indptr))
-        bits = np.left_shift(np.uint64(1), (rows & 63).astype(np.uint64))
-        np.bitwise_or.at(words, (db.items, rows >> 6), bits)
+        words = np.zeros((n_cols, (n_rows + 63) >> 6), dtype=np.uint64)
+        indptr, items = db.indptr, db.items
+        start = 0
+        while start < n_rows:
+            # The last row bound whose pairs fit, cut down to a word edge.
+            fits = np.searchsorted(indptr, indptr[start] + CHUNK_BYTES // 8, side="right")
+            stop = min(max((int(fits) - 1) & ~63, start + 64), n_rows)
+            bounds = indptr[start : stop + 1]
+            rows = np.repeat(np.arange(start, stop, dtype=np.int64), np.diff(bounds))
+            word = rows >> 6
+            # Each pair's bit, 1 << (row & 63), made in place in ``rows``.
+            bits = np.bitwise_and(rows, 63, out=rows).view(np.uint64)
+            np.left_shift(np.uint64(1), bits, out=bits)
+            np.bitwise_or.at(words, (items[bounds[0] : bounds[-1]], word), bits)
+            start = stop
         counter.record_scan()
         return cls(n_rows, n_cols, words)
 
@@ -83,7 +93,7 @@ class LMatrix:
         The level is counted in chunks of candidates: for each chunk the k
         item columns are gathered into reused buffers, ANDed there and
         popcounted in one step. Each temporary holds at most
-        ``COUNT_CHUNK_BYTES``, so memory does not grow with the size of the
+        ``CHUNK_BYTES``, so memory does not grow with the size of the
         level. Items outside ``[0, n_cols)`` occur in no transaction here, so
         an itemset holding one counts 0. Empty or mixed-length itemsets raise
         ValueError. An int64 array of rows is read without a copy.
@@ -96,7 +106,7 @@ class LMatrix:
             raise ValueError("count takes non-empty itemsets of one length")
         known = np.flatnonzero(((rows >= 0) & (rows < self.n_cols)).all(axis=1))
         n_words = self._words.shape[1]
-        step = max(COUNT_CHUNK_BYTES // max(8 * n_words, 1), 1)
+        step = max(CHUNK_BYTES // max(8 * n_words, 1), 1)
         acc = np.empty((min(step, len(known)), n_words), dtype=np.uint64)
         col = np.empty_like(acc)
         for start in range(0, len(known), step):

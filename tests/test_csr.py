@@ -18,6 +18,7 @@ from distmine import (
     ScanCounter,
     TransactionDb,
     dataset,
+    lmatrix,
     load_fimi,
     partition,
 )
@@ -116,6 +117,15 @@ def test_matrix_matches_pairwise_build(seed):
             for part in parts:
                 assert_matrix_matches(part)
             assert sorted(t for p in parts for t in p.transactions) == sorted(db.transactions)
+
+
+@pytest.mark.parametrize("budget", [1, 8 * 1000])
+@pytest.mark.parametrize("n_rows", [0, 1, 63, 64, 65, 1000])
+def test_matrix_blocks_keep_the_words(monkeypatch, budget, n_rows):
+    # A budget of 1 byte builds one 64-row word per block; 8,000 bytes cut
+    # blocks of about 1,000 pairs down to a word edge.
+    monkeypatch.setattr(lmatrix, "CHUNK_BYTES", budget)
+    assert_matrix_matches(random_db(np.random.default_rng(n_rows), n_rows, 9))
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from distmine import (
     FimiFormatError,
     PartitionSpec,
     TransactionDb,
+    dataset,
     dump_fimi,
     generate_synthetic,
     load_fimi,
@@ -157,25 +159,45 @@ class TestPartition:
         assert partition(db, spec) != partition(db, other)
 
 
+# Databases used by the benchmark, criteria 7/8 and the sweep tests.
+PINNED = [
+    ((30000, 100, 10, 1), "0d0401f3f9d535244b2b8e8c6a810be6a0a9f97bd97ee98813d243e93631387a"),
+    ((30000, 100, 10, 301), "fcf94a4509f84aab4e31654edbd3ada0782745236788a5d086acf36f7393a3ce"),
+    ((30000, 100, 10, 401), "57d1c5687b93dc867fb6c50f421665cdf30d7bd854163a0f51b698e748ef6cdf"),
+    ((100000, 100, 10, 7), "1386078a64b7f93aa86db8612286337d65ad272b1eb2c3aa002124ee3bc5bf6a"),
+    ((200, 12, 3, 5), "99c7594a0b31a6b1f54ab76c7742f06f8434a4456622672e2a1a68d0a9bb7503"),
+    # Long rows over many items: keys u ** (i + 1) underflow to 0, so
+    # a row's cut falls among equal keys and goes to the lower ids.
+    ((50, 2000, 1500, 3), "7311be7bd1e1e0f0d973b524d04aef84f68ba7eb0492d71978aaebdb53a49ca7"),
+    ((20, 4000, 3900, 5), "29c4a0dbc73d7209ce8ad76feb966a55027a8677db9fdd06344c48a654bd8bdc"),
+]
+
+
 class TestGenerateSynthetic:
-    @pytest.mark.parametrize(
-        ("args", "sha256"),
-        [
-            ((30000, 100, 10, 1), "0d0401f3f9d535244b2b8e8c6a810be6a0a9f97bd97ee98813d243e93631387a"),
-            ((30000, 100, 10, 301), "fcf94a4509f84aab4e31654edbd3ada0782745236788a5d086acf36f7393a3ce"),
-            ((30000, 100, 10, 401), "57d1c5687b93dc867fb6c50f421665cdf30d7bd854163a0f51b698e748ef6cdf"),
-            ((100000, 100, 10, 7), "1386078a64b7f93aa86db8612286337d65ad272b1eb2c3aa002124ee3bc5bf6a"),
-            ((200, 12, 3, 5), "99c7594a0b31a6b1f54ab76c7742f06f8434a4456622672e2a1a68d0a9bb7503"),
-            # Long rows over many items: keys u ** (i + 1) underflow to 0, so
-            # a row's cut falls among equal keys and goes to the lower ids.
-            ((50, 2000, 1500, 3), "7311be7bd1e1e0f0d973b524d04aef84f68ba7eb0492d71978aaebdb53a49ca7"),
-            ((20, 4000, 3900, 5), "29c4a0dbc73d7209ce8ad76feb966a55027a8677db9fdd06344c48a654bd8bdc"),
-        ],
-    )
+    @pytest.mark.parametrize(("args", "sha256"), PINNED)
     def test_pinned_bytes(self, args, sha256):
-        # Databases used by the benchmark, criteria 7/8 and the sweep tests.
         text = dump_fimi(generate_synthetic(*args))
         assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+    @pytest.mark.parametrize(("args", "sha256"), PINNED)
+    def test_pinned_bytes_one_row_per_chunk(self, monkeypatch, args, sha256):
+        # The smallest budget draws one row per chunk; the bytes stay.
+        monkeypatch.setattr(dataset, "CHUNK_BYTES", 1)
+        text = dump_fimi(generate_synthetic(*args))
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("n_rows", [30_000, 120_000])
+    def test_memory_is_the_output(self, n_rows):
+        # Working buffers are bounded by the chunk budget: the traced peak
+        # is the output twice (the per-chunk pieces and their concatenation)
+        # plus at most 2 MiB.
+        tracemalloc.start()
+        try:
+            db = generate_synthetic(n_rows, 100, 10, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 2 * (db.indptr.nbytes + db.items.nbytes) <= 2 << 20
 
     def test_empty(self):
         db = generate_synthetic(0, 5, 2, seed=1)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -6,7 +7,14 @@ import pytest
 from bruteforce import naive_support
 from conftest import random_raw_db
 
-from distmine import LMatrix, ScanCounter, TransactionDb, lmatrix, load_fimi
+from distmine import (
+    LMatrix,
+    ScanCounter,
+    TransactionDb,
+    generate_synthetic,
+    lmatrix,
+    load_fimi,
+)
 
 
 def build(db):
@@ -38,6 +46,19 @@ class TestBuild:
         assert m.support((0,)) == n_rows
         assert m.support((1,)) == n_rows // 2
         assert m.support((0, 1)) == n_rows // 2
+
+    @pytest.mark.parametrize("n_rows", [30_000, 120_000])
+    def test_memory_is_the_matrix(self, n_rows):
+        # Temporaries are bounded by the block budget: the traced peak is
+        # the matrix plus at most 2 MiB.
+        db = generate_synthetic(n_rows, 100, 10, seed=1)
+        tracemalloc.start()
+        try:
+            m, _ = build(db)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - m.n_cols * ((m.n_rows + 63) >> 6) * 8 <= 2 << 20
 
 
 class TestSupport:
@@ -134,7 +155,7 @@ class TestCount:
             db = random_raw_db(rng, max_txns=200, max_items=8)
             m, _ = build(db)
             n_words = (db.size + 63) >> 6
-            monkeypatch.setattr(lmatrix, "COUNT_CHUNK_BYTES", chunk_rows * 8 * n_words)
+            monkeypatch.setattr(lmatrix, "CHUNK_BYTES", chunk_rows * 8 * n_words)
             for k in range(1, 4):
                 itemsets = list(combinations(range(db.universe + 1), k))
                 expected = [m.support(x) if x[-1] < db.universe else 0 for x in itemsets]
