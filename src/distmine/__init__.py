@@ -32,7 +32,6 @@ from .miner import (
     MiningResult,
     RoundMetrics,
     apriori_gen,
-    itemset_key,
     parse_minsup,
     run_sequential,
     sequential_apriori,
@@ -72,7 +71,6 @@ __all__ = [
     "apriori_gen",
     "dump_fimi",
     "generate_synthetic",
-    "itemset_key",
     "load_fimi",
     "local_prune",
     "local_support",

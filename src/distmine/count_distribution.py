@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import Itemset, TransactionDb
+from .dataset import TransactionDb
 from .lmatrix import LMatrix, ScanCounter
 from .messages import LocalReport, MessageLog
 from .miner import MiningResult, RoundMetrics, apriori_levels, mine_levels
@@ -50,18 +50,18 @@ class CountDistributionRun:
         )
         return self.result
 
-    def _count_level(self, candidates: list[Itemset]) -> tuple[list[int], int]:
-        """Count at every site and send each site's count vector to every
-        peer; returns the global counts and the n*|C| entries sent."""
+    def _count_level(self, rows: np.ndarray) -> tuple[np.ndarray, int]:
+        """Count the candidate rows at every site and send each site's count
+        vector to every peer; returns the global counts and the n*|C|
+        entries sent."""
         n = len(self.matrices)
-        rows = np.array(candidates, dtype=np.int64)
         vectors = [m.count(rows) for m in self.matrices]
         for i in range(n):
-            report = LocalReport.from_rows(rows, vectors[i], site_id=i, k=rows.shape[1])
+            report = LocalReport(rows, vectors[i], site_id=i, k=rows.shape[1])
             for j in range(n):
                 if j != i:
                     self.log.send(f"site:{i}", f"site:{j}", report)
-        return sum(vectors).tolist(), n * len(candidates)
+        return sum(vectors), n * len(rows)
 
 
 def run_cd(

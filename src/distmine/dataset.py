@@ -305,10 +305,11 @@ def partition(db: TransactionDb, spec: PartitionSpec) -> list[TransactionDb]:
 
     contiguous: equal-size blocks, the first ``size % n`` blocks one larger.
     round-robin: transaction t goes to site ``t % n``.
-    random: seeded shuffle of the transaction order, then contiguous blocks.
+    random: contiguous blocks of a seeded shuffle of the transaction order.
 
-    Parts are row slices or gathers of the CSR arrays and inherit the parent
-    universe. Raises ValueError when the database has fewer transactions
+    Parts are row slices or gathers of the CSR arrays (a random part gathers
+    its block of the shuffle; no whole shuffled copy is made) and inherit the
+    parent universe. Raises ValueError when the database has fewer transactions
     than sites.
     """
     n = spec.n_sites
@@ -317,10 +318,11 @@ def partition(db: TransactionDb, spec: PartitionSpec) -> list[TransactionDb]:
 
     if spec.strategy == "round-robin":
         return [db.take(np.arange(i, db.size, n)) for i in range(n)]
-    if spec.strategy == "random":
-        db = db.take(np.random.default_rng(spec.seed).permutation(db.size))
     base, extra = divmod(db.size, n)
     bounds = _offsets([base + (1 if i < extra else 0) for i in range(n)]).tolist()
+    if spec.strategy == "random":
+        order = np.random.default_rng(spec.seed).permutation(db.size)
+        return [db.take(order[start:stop]) for start, stop in zip(bounds, bounds[1:])]
     return [db.slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
 
 

@@ -74,7 +74,7 @@ class LMatrix:
 
         Columns are intersected in the given (ascending) order with an early
         exit once the running vector is all zero. Rejects empty itemsets and
-        out-of-range items.
+        out-of-range items. Kept for bench/tracer.py; the miners use ``count``.
         """
         if not itemset:
             raise ValueError("support of the empty itemset is not queryable")
@@ -122,7 +122,7 @@ class LMatrix:
         return counts
 
     def support_batch(self, itemsets: list[Itemset]) -> list[int]:
-        """Map support() over ``itemsets``; errors name the offending index."""
+        """Map support() over ``itemsets``, naming a failing index; kept for bench/tracer.py."""
         out = []
         for i, x in enumerate(itemsets):
             try:

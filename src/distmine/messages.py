@@ -5,12 +5,10 @@ the in-process simulation could be replaced by real transport without
 touching the algorithms. A message is columnar: its level-k itemsets are the
 rows of a read-only (m, k) int64 array ``rows`` in strictly rising
 lexicographic order and, except in a CountRequest, their counts are the
-read-only int64 vector ``supports``. The miners build messages from arrays
-with ``from_rows``; the constructors take the tuple fields (``entries``,
-``itemsets``, ``counts``, ``frequent``), which are otherwise tuple views
-made on first use. Payload bytes follow a fixed canonical encoding (8 bytes
-per header field, 4 per item id, 8 per count) so byte metrics are
-implementation-independent.
+read-only int64 vector ``supports``. A message is built from those arrays
+and its header fields, as in ``LocalReport(rows, supports, site_id=0, k=2)``.
+Payload bytes follow a fixed canonical encoding (8 bytes per header field, 4
+per item id, 8 per count) so byte metrics are implementation-independent.
 """
 
 from __future__ import annotations
@@ -23,8 +21,6 @@ from typing import Union
 import numpy as np
 
 from .dataset import Itemset
-
-CountEntry = tuple[Itemset, int]
 
 
 def _check_sorted(rows: np.ndarray, k: int) -> None:
@@ -49,22 +45,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
-def _tuple_rows(itemsets, k: int) -> np.ndarray:
-    """The rows of a tuple constructor's itemsets; an itemset of another
-    length is refused before numpy sees a ragged list."""
-    itemsets = list(itemsets)
-    if any(map(k.__ne__, map(len, itemsets))):
-        raise ValueError(f"a level-{k} message carries only {k}-itemsets")
-    return np.array(itemsets, dtype=np.int64).reshape(len(itemsets), k)
-
-
-def _tuple_columns(entries, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows and supports of a tuple constructor's (itemset, count) pairs."""
-    entries = list(entries)
-    supports = np.array([n for _, n in entries], dtype=np.int64)
-    return _tuple_rows([x for x, _ in entries], k), supports
-
-
 class _Columnar:
     """The body every message shares: the header fields named in ``HEADER``
     (``k`` among them), ``rows`` and, if ``COUNTED``, ``supports``.
@@ -73,17 +53,11 @@ class _Columnar:
     HEADER: tuple[str, ...]
     COUNTED = True
 
-    @classmethod
-    def from_rows(cls, rows, supports=None, **header):
+    def __init__(self, rows, supports=None, **header) -> None:
         """The message with the ``HEADER`` fields given by keyword, its
         itemsets as the rows of ``rows`` and, unless it is a CountRequest,
         their counts ``supports``. The arrays are not copied: the message
         holds read-only views of them."""
-        msg = cls.__new__(cls)
-        msg._set(rows, supports, header)
-        return msg
-
-    def _set(self, rows, supports, header: dict) -> None:
         if sorted(header) != sorted(self.HEADER) or (supports is None) == self.COUNTED:
             raise TypeError(f"{type(self).__name__} has the fields {self._names()}")
         rows = np.asarray(rows, dtype=np.int64)
@@ -101,12 +75,6 @@ class _Columnar:
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, f) for f in self._names())
-
-    def _itemsets(self) -> tuple[Itemset, ...]:
-        return tuple(map(tuple, self.rows.tolist()))
-
-    def _entries(self) -> tuple[CountEntry, ...]:
-        return tuple(zip(self._itemsets(), self.supports.tolist()))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
@@ -129,11 +97,6 @@ class LocalReport(_Columnar):
 
     HEADER = ("site_id", "k")
 
-    def __init__(self, site_id: int, k: int, entries) -> None:
-        self._set(*_tuple_columns(entries, k), dict(site_id=site_id, k=k))
-
-    entries = functools.cached_property(_Columnar._entries)
-
 
 class CountRequest(_Columnar):
     """Center asks a site for the local counts of the given itemsets."""
@@ -141,21 +104,16 @@ class CountRequest(_Columnar):
     HEADER = ("k",)
     COUNTED = False
 
-    def __init__(self, k: int, itemsets) -> None:
-        self._set(_tuple_rows(itemsets, k), None, dict(k=k))
-
-    itemsets = functools.cached_property(_Columnar._itemsets)
+    @functools.cached_property
+    def itemsets(self) -> tuple[Itemset, ...]:
+        """The itemsets as tuples, made on first use; kept for bench/tracer.py."""
+        return tuple(map(tuple, self.rows.tolist()))
 
 
 class CountResponse(_Columnar):
     """A site's answer to a CountRequest, itemset for itemset."""
 
     HEADER = ("site_id", "k")
-
-    def __init__(self, site_id: int, k: int, counts) -> None:
-        self._set(*_tuple_columns(counts, k), dict(site_id=site_id, k=k))
-
-    counts = functools.cached_property(_Columnar._entries)
 
 
 class GlobalResult(_Columnar):
@@ -164,25 +122,15 @@ class GlobalResult(_Columnar):
 
     HEADER = ("k", "continue_flag")
 
-    def __init__(self, k: int, frequent, continue_flag: bool) -> None:
-        self._set(*_tuple_columns(frequent, k), dict(k=k, continue_flag=continue_flag))
-
-    frequent = functools.cached_property(_Columnar._entries)
-
 
 ProtocolMessage = Union[LocalReport, CountRequest, CountResponse, GlobalResult]
-
-
-def payload_itemsets(msg: ProtocolMessage) -> int:
-    """Number of itemsets carried by a message."""
-    return len(msg.rows)
 
 
 def canonical_size(msg: ProtocolMessage) -> int:
     """Canonical payload size in bytes: the header, then k item ids per
     itemset and, except in a CountRequest, one count."""
     per_itemset = 4 * msg.k + 8 * msg.COUNTED
-    return 8 * len(msg.HEADER) + per_itemset * payload_itemsets(msg)
+    return 8 * len(msg.HEADER) + per_itemset * len(msg.rows)
 
 
 @dataclass(frozen=True)
@@ -239,7 +187,7 @@ class MessageLog:
                 dst=dst,
                 k=msg.k,
                 type=type(msg).__name__,
-                items=payload_itemsets(msg),
+                items=len(msg.rows),
                 bytes=size,
             )
         )

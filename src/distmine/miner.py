@@ -14,11 +14,6 @@ from .lmatrix import LMatrix, ScanCounter
 from .messages import MessageLog
 
 
-def itemset_key(x: Itemset) -> tuple[int, Itemset]:
-    """Canonical ordering key: length first, then lexicographic."""
-    return (len(x), x)
-
-
 def parse_minsup(value) -> Fraction:
     """Convert a minimum-support spec to an exact Fraction in (0, 1].
 
@@ -105,6 +100,7 @@ def apriori_gen(prev_frequent) -> list[Itemset]:
     step drops any candidate with a k-subset missing from ``prev_frequent``.
     The result is duplicate-free and lexicographically sorted. Raises
     ValueError if the input mixes itemset lengths or holds a negative id.
+    Kept for bench/tracer.py; the miners call ``join_rows``.
     """
     prev = sorted(set(prev_frequent))
     if not prev:
@@ -120,7 +116,8 @@ def apriori_gen(prev_frequent) -> list[Itemset]:
 
 @dataclass(frozen=True)
 class MiningResult:
-    """Frequent itemsets with their global support counts."""
+    """Frequent itemsets with their global support counts, in (length,
+    lexicographic) order, as ``mine_levels`` inserts them."""
 
     minsup: Fraction
     db_size: int
@@ -131,8 +128,9 @@ class MiningResult:
         return threshold(self.minsup, self.db_size)
 
     def sorted_items(self) -> list[tuple[Itemset, int]]:
-        """Entries ordered by (length, lexicographic) for stable serialization."""
-        return sorted(self.frequent.items(), key=lambda e: itemset_key(e[0]))
+        """Entries in ``frequent``'s own order: (length, lexicographic) for
+        results that ``mine_levels`` builds, which every miner does."""
+        return list(self.frequent.items())
 
     def level(self, k: int) -> dict[Itemset, int]:
         """The frequent k-itemsets."""
@@ -159,14 +157,15 @@ def mine_levels(
     levels, minsup: Fraction, db_size: int, log: MessageLog
 ) -> tuple[MiningResult, list[RoundMetrics]]:
     """The level loop of every miner. ``levels`` yields, per level, its
-    frequent itemsets with their counts, the number of distinct candidates
-    counted and of report entries sent; the miner stops by ending it. A
-    level's metrics row counts what ``log`` recorded while the level ran."""
+    frequent itemsets as sorted rows, their counts, the number of distinct
+    candidates counted and of report entries sent; the miner stops by ending
+    it. Only here do itemsets become tuples, in the result. A level's
+    metrics row counts what ``log`` recorded while the level ran."""
     frequent: dict[Itemset, int] = {}
     metrics: list[RoundMetrics] = []
     sent, sent_bytes = log.messages_sent, log.payload_bytes
-    for k, (level, candidates, entries) in enumerate(levels, 1):
-        frequent.update(level)
+    for k, (rows, supports, candidates, entries) in enumerate(levels, 1):
+        frequent.update(zip(map(tuple, rows.tolist()), supports.tolist()))
         metrics.append(
             RoundMetrics(
                 k=k,
@@ -174,7 +173,7 @@ def mine_levels(
                 messages_sent=log.messages_sent - sent,
                 payload_bytes=log.payload_bytes - sent_bytes,
                 llk_total=entries,
-                lk_size=len(level),
+                lk_size=len(rows),
             )
         )
         sent, sent_bytes = log.messages_sent, log.payload_bytes
@@ -183,15 +182,15 @@ def mine_levels(
 
 def apriori_levels(universe: int, thr: int, count):
     """The levels of sequential and cd: every item at level 1, then
-    ``apriori_gen`` of the last level, until no candidate is left (so a
-    universe of 0 runs no level). ``count(candidates)`` returns the global
-    counts and the number of report entries it sent."""
-    candidates: list[Itemset] = [(i,) for i in range(universe)]
-    while candidates:
-        counts, entries = count(candidates)
-        level = {x: n for x, n in zip(candidates, counts) if n >= thr}
-        yield level, len(candidates), entries
-        candidates = apriori_gen(level) if level else []
+    ``join_rows`` of the last level's frequent rows, until no candidate is
+    left (so a universe of 0 runs no level). ``count(rows)`` returns the
+    global counts of the rows and the number of report entries it sent."""
+    rows = np.arange(universe, dtype=np.int64)[:, None]
+    while len(rows):
+        counts, entries = count(rows)
+        frequent = counts >= thr
+        yield rows[frequent], counts[frequent], len(rows), entries
+        rows = join_rows(rows[frequent])
 
 
 def run_sequential(
@@ -211,11 +210,12 @@ def run_sequential(
         levels = apriori_levels(
             db.universe,
             threshold(s, db.size),
-            lambda candidates: (matrix.count(candidates).tolist(), 0),
+            lambda rows: (matrix.count(rows), 0),
         )
     return mine_levels(levels, s, db.size, MessageLog())
 
 
 def sequential_apriori(db: TransactionDb, minsup) -> MiningResult:
-    """The frequent itemsets of ``db``; the reference the distributed miners match."""
+    """The frequent itemsets of ``db``; the reference the distributed miners
+    match (bench/tracer.py looks this name up)."""
     return run_sequential(db, minsup)[0]

@@ -37,7 +37,8 @@ class ProtocolError(RuntimeError):
 
 
 def local_support(matrix: LMatrix, itemset: Itemset) -> int:
-    """Support on a site's matrix; items the site has never seen count 0."""
+    """Support on a site's matrix; items the site has never seen count 0.
+    Kept for bench/tracer.py; sites count with ``LMatrix.count``."""
     if itemset and itemset[-1] >= matrix.n_cols:
         return 0
     return matrix.support(itemset)
@@ -53,7 +54,8 @@ def local_prune(
     The bound for a k-candidate is the minimum local count over its (k-1)-
     subsets, which support can never exceed. Every subset must already be in
     ``subset_counts``; a missing one is a pipeline bug, not user error.
-    ``LocalSite.build_report`` does not call it (see there for why).
+    Kept for bench/tracer.py: ``LocalSite.build_report`` does not call it
+    (see there for why).
     """
     if site_threshold <= 0:
         return list(candidates)
@@ -103,7 +105,7 @@ class LocalSite:
         self.closed = False  # a GlobalResult has closed ``level``
         nothing = np.empty((0, 1), dtype=np.int64)
         self.heavy_prev = self.last_candidates = nothing
-        self.reported = LocalReport.from_rows(nothing, nothing[:, 0], site_id=site_id, k=1)
+        self.reported = LocalReport(nothing, nothing[:, 0], site_id=site_id, k=1)
 
     def local_candidates(self, k: int) -> np.ndarray:
         """Level-k candidates: every single item at k=1, otherwise the
@@ -123,7 +125,7 @@ class LocalSite:
         self.level = k
         self.closed = False
         self.last_candidates = candidates
-        self.reported = LocalReport.from_rows(
+        self.reported = LocalReport(
             candidates[frequent], counts[frequent], site_id=self.site_id, k=k
         )
         return self.reported
@@ -142,7 +144,7 @@ class LocalSite:
             raise ProtocolError(
                 f"site {self.site_id}: count request for closed level {req.k}"
             )
-        return CountResponse.from_rows(
+        return CountResponse(
             req.rows, self.matrix.count(req.rows), site_id=self.site_id, k=req.k
         )
 
@@ -233,7 +235,7 @@ class CenterSite:
         self._open(itemsets[kept], reported[kept], silent[kept])
 
         requests = {
-            i: CountRequest.from_rows(self._rows[wanted], k=k)
+            i: CountRequest(self._rows[wanted], k=k)
             for i, wanted in enumerate(self._awaiting.T)
             if wanted.any()
         }
@@ -272,7 +274,7 @@ class CenterSite:
             raise ProtocolError(f"missing count responses for {still_waiting!r}")
 
         frequent = self._totals >= self.global_threshold
-        result = GlobalResult.from_rows(
+        result = GlobalResult(
             self._rows[frequent],
             self._totals[frequent],
             k=self.level,
@@ -289,7 +291,7 @@ class ImprovedRun:
     moves only through protocol messages. ``run`` hands the shared loop
     (``miner.mine_levels``) one round per level. After ``run()`` the
     instance exposes per-round metrics, the full message trace, the sites
-    (for scan counters), and the itemsets the max-count bound pruned.
+    (for scan counters), and the rows the max-count bound pruned per level.
     """
 
     def __init__(
@@ -308,7 +310,7 @@ class ImprovedRun:
         self.center = CenterSite([s.size for s in self.sites], self.minsup)
         self.log = MessageLog(count_colocated=count_colocated_messages)
         self.metrics: list[RoundMetrics] = []
-        self.maxcount_pruned: list[tuple[int, Itemset]] = []
+        self.maxcount_pruned: list[np.ndarray] = []
         self.result: MiningResult | None = None
 
     def run(self) -> MiningResult:
@@ -333,7 +335,7 @@ class ImprovedRun:
             candidates = np.concatenate([site.last_candidates for site in self.sites])
 
             _, pruned, requests = self.center.aggregate(reports)
-            self.maxcount_pruned.extend((k, x) for x in map(tuple, pruned.tolist()))
+            self.maxcount_pruned.append(pruned)
 
             responses = []
             for site_id in sorted(requests):
@@ -348,10 +350,8 @@ class ImprovedRun:
                 self.log.send("center", f"site:{site.site_id}", outcome)
                 site.update_heavy(outcome)
 
-            itemsets = map(tuple, outcome.rows.tolist())
-            frequent = dict(zip(itemsets, outcome.supports.tolist()))
             distinct = int(np.count_nonzero(_runs(candidates)[1]))
-            yield frequent, distinct, sum(len(rep.rows) for rep in reports)
+            yield outcome.rows, outcome.supports, distinct, sum(len(r.rows) for r in reports)
             if not outcome.continue_flag:
                 return
 

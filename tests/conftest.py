@@ -63,7 +63,8 @@ def local_prune_checks():
 
     def checked(site, k):
         candidates = list(map(tuple, site.local_candidates(k).tolist()))
-        bounds = dict(site.reported.entries)
+        reported = site.reported
+        bounds = dict(zip(map(tuple, reported.rows.tolist()), reported.supports.tolist()))
         report = build(site, k)
         if k > 1:
             kept = local_prune(candidates, bounds, site.site_threshold)

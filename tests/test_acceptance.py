@@ -173,8 +173,9 @@ def test_criterion_5_pruning_soundness(corpus):
     with criterion(5, "local prune drops nothing; count-bound pruned are infrequent"):
         n_checks = 0
         for rec in corpus.records:
-            for _, x in rec.maxcount_pruned:
-                assert x not in rec.oracle, (rec.seed, rec.minsup, rec.n_sites, x)
+            for rows in rec.maxcount_pruned:
+                for x in map(tuple, rows.tolist()):
+                    assert x not in rec.oracle, (rec.seed, rec.minsup, rec.n_sites, x)
             for k, site_id, dropped in rec.local_prune_checks:
                 assert dropped == [], (rec.seed, rec.minsup, rec.n_sites, k, site_id)
             n_checks += len(rec.local_prune_checks)

@@ -61,12 +61,12 @@ def test_aggregate_counters_match_an_untraced_run(monkeypatch):
     for k in range(1, len(run.metrics) + 1):
         reports = [m for m in sent if isinstance(m, distmine.LocalReport) and m.k == k]
         assert len(reports) == 5
-        everywhere += len(set.intersection(*(set(dict(r.entries)) for r in reports)))
+        everywhere += len(set.intersection(*(set(map(tuple, r.rows.tolist())) for r in reports)))
     expected = {
         "protocol.decided_immediately": everywhere,
-        "protocol.maxcount_pruned": len(run.maxcount_pruned),
+        "protocol.maxcount_pruned": sum(map(len, run.maxcount_pruned)),
         "protocol.poll_requests": len(requests),
-        "protocol.polled_itemsets": sum(len(r.itemsets) for r in requests),
+        "protocol.polled_itemsets": sum(len(r.rows) for r in requests),
     }
     assert (expected["protocol.poll_requests"], expected["protocol.maxcount_pruned"]) == (13, 60)
 

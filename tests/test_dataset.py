@@ -158,6 +158,30 @@ class TestPartition:
         assert partition(db, spec) == partition(db, again)
         assert partition(db, spec) != partition(db, other)
 
+    @pytest.mark.parametrize("n_sites", [1, 2, 3, 5])
+    def test_random_is_blocks_of_the_shuffled_db(self, n_sites):
+        # The parts are the contiguous blocks of the database gathered in
+        # the seeded permutation's order.
+        for seed in range(4):
+            db = corpus_db(seed)
+            perm = np.random.default_rng(seed).permutation(db.size)
+            spec = PartitionSpec(n_sites=n_sites, strategy="random", seed=seed)
+            blocks = partition(db.take(perm), PartitionSpec(n_sites=n_sites))
+            assert partition(db, spec) == blocks
+
+    @pytest.mark.parametrize("strategy", ["random", "round-robin"])
+    def test_memory_is_the_parts(self, strategy):
+        # Beside the parts, a part's gather temporaries are held (about 6 MB
+        # here), but no permuted copy of the whole 10.6 MB database.
+        db = generate_synthetic(120_000, 100, 10, seed=1)
+        tracemalloc.start()
+        try:
+            parts = partition(db, PartitionSpec(n_sites=4, strategy=strategy, seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - sum(p.indptr.nbytes + p.items.nbytes for p in parts) <= 8 << 20
+
 
 # Databases used by the benchmark, criteria 7/8 and the sweep tests.
 PINNED = [

@@ -52,6 +52,14 @@ def instances(draw):
 def test_miners_equal_oracle(instance):
     db, parts, minsup = instance
     oracle = enumerate_frequent(db, minsup)
-    assert sequential_apriori(db, minsup).frequent == oracle
-    assert ImprovedRun(parts, minsup).run().frequent == oracle
-    assert CountDistributionRun(parts, minsup).run().frequent == oracle
+    results = {
+        "sequential": sequential_apriori(db, minsup),
+        "improved": ImprovedRun(parts, minsup).run(),
+        "cd": CountDistributionRun(parts, minsup).run(),
+    }
+    for name, result in results.items():
+        assert result.frequent == oracle, name
+        # The itemsets are listed in (length, lex) order, which is the order
+        # ``sorted_items`` and the result JSON give them in.
+        itemsets = list(result.frequent)
+        assert itemsets == sorted(itemsets, key=lambda x: (len(x), x)), name

@@ -33,6 +33,39 @@ def itemsets(rows):
     return list(map(tuple, rows.tolist()))
 
 
+def pairs(msg):
+    """A counted message's (itemset, count) pairs, as tuples."""
+    return tuple(zip(itemsets(msg.rows), msg.supports.tolist()))
+
+
+def _rows(itemsets, k):
+    """k-itemsets as an (m, k) int64 array."""
+    return np.array(itemsets, dtype=np.int64).reshape(len(itemsets), k)
+
+
+def _columns(entries, k):
+    """The rows and supports of (itemset, count) pairs of k-itemsets."""
+    return _rows([x for x, _ in entries], k), np.array([n for _, n in entries], dtype=np.int64)
+
+
+# Messages written as tuples in the tests: each builds the arrays its
+# constructor takes.
+def report(site_id, k, entries):
+    return LocalReport(*_columns(entries, k), site_id=site_id, k=k)
+
+
+def request(k, itemsets):
+    return CountRequest(_rows(itemsets, k), k=k)
+
+
+def response(site_id, k, counts):
+    return CountResponse(*_columns(counts, k), site_id=site_id, k=k)
+
+
+def global_result(k, frequent, continue_flag):
+    return GlobalResult(*_columns(frequent, k), k=k, continue_flag=continue_flag)
+
+
 @pytest.fixture
 def market_sites(market_db):
     parts = partition(market_db, PartitionSpec(n_sites=2))
@@ -64,35 +97,35 @@ class TestLocalSite:
         # site 0 holds {ABC, ABDE} with threshold 2; site 1 holds {ACE}, threshold 1
         rep0 = market_sites[0].build_report(1)
         rep1 = market_sites[1].build_report(1)
-        assert rep0.entries == (((A,), 2), ((B,), 2))
-        assert rep1.entries == (((A,), 1), ((C,), 1), ((E,), 1))
+        assert pairs(rep0) == (((A,), 2), ((B,), 2))
+        assert pairs(rep1) == (((A,), 1), ((C,), 1), ((E,), 1))
 
     def test_empty_report_still_produced(self, market_sites):
         site = market_sites[0]
         site.build_report(1)
         site.heavy_prev = np.empty((0, 1), dtype=np.int64)
         rep = site.build_report(2)
-        assert rep.entries == ()
+        assert pairs(rep) == ()
 
     def test_count_request_roundtrip(self, market_sites):
-        resp0 = market_sites[0].handle_count_request(CountRequest(k=1, itemsets=((C,),)))
-        assert resp0.counts == (((C,), 1),)
-        resp1 = market_sites[1].handle_count_request(CountRequest(k=1, itemsets=((B,),)))
-        assert resp1.counts == (((B,), 0),)
+        resp0 = market_sites[0].handle_count_request(request(k=1, itemsets=((C,),)))
+        assert pairs(resp0) == (((C,), 1),)
+        resp1 = market_sites[1].handle_count_request(request(k=1, itemsets=((B,),)))
+        assert pairs(resp1) == (((B,), 0),)
 
     def test_empty_count_request(self, market_sites):
-        resp = market_sites[0].handle_count_request(CountRequest(k=1, itemsets=()))
-        assert resp.counts == ()
+        resp = market_sites[0].handle_count_request(request(k=1, itemsets=()))
+        assert pairs(resp) == ()
 
     def test_items_outside_local_universe_count_zero(self, market_db):
         site = LocalSite(0, market_db, TWO_THIRDS)
-        resp = site.handle_count_request(CountRequest(k=1, itemsets=((40,),)))
-        assert resp.counts == (((40,), 0),)
+        resp = site.handle_count_request(request(k=1, itemsets=((40,),)))
+        assert pairs(resp) == (((40,), 0),)
 
     def test_update_heavy_site0(self, market_sites):
         site = market_sites[0]
         site.build_report(1)
-        result = GlobalResult(
+        result = global_result(
             k=1,
             frequent=(((A,), 3), ((B,), 2), ((C,), 2), ((E,), 2)),
             continue_flag=True,
@@ -103,7 +136,7 @@ class TestLocalSite:
     def test_update_heavy_site1(self, market_sites):
         site = market_sites[1]
         site.build_report(1)
-        result = GlobalResult(
+        result = global_result(
             k=1,
             frequent=(((A,), 3), ((B,), 2), ((C,), 2), ((E,), 2)),
             continue_flag=True,
@@ -114,14 +147,14 @@ class TestLocalSite:
     def test_update_heavy_empty_result(self, market_sites):
         site = market_sites[0]
         site.build_report(1)
-        site.update_heavy(GlobalResult(k=1, frequent=(), continue_flag=False))
+        site.update_heavy(global_result(k=1, frequent=(), continue_flag=False))
         assert itemsets(site.heavy_prev) == []
 
     def test_update_heavy_ignores_unreported_itemsets(self, market_sites):
         # heavy = reported here and globally frequent: an itemset the site
         # never reported is not heavy, and nothing is recounted for it
         site = market_sites[0]
-        result = GlobalResult(k=1, frequent=(((B,), 2),), continue_flag=True)
+        result = global_result(k=1, frequent=(((B,), 2),), continue_flag=True)
         site.update_heavy(result)
         assert itemsets(site.heavy_prev) == []
         assert site.scan_counter.raw_scans == 1
@@ -131,7 +164,7 @@ class TestLocalSite:
         site.build_report(1)
         site.matrix = None
         site.update_heavy(
-            GlobalResult(
+            global_result(
                 k=1,
                 frequent=(((A,), 3), ((B,), 2), ((C,), 2), ((E,), 2)),
                 continue_flag=True,
@@ -143,33 +176,33 @@ class TestLocalSite:
         site = market_sites[0]
         site.build_report(1)
         with pytest.raises(ProtocolError, match="level 2 during level 1"):
-            site.handle_count_request(CountRequest(k=2, itemsets=((A, C),)))
+            site.handle_count_request(request(k=2, itemsets=((A, C),)))
 
     def test_global_result_for_another_level(self, market_sites):
         site = market_sites[0]
         site.build_report(1)
-        site.update_heavy(GlobalResult(k=1, frequent=(((A,), 3),), continue_flag=True))
+        site.update_heavy(global_result(k=1, frequent=(((A,), 3),), continue_flag=True))
         site.build_report(2)
-        stale = GlobalResult(k=1, frequent=(((A,), 3),), continue_flag=True)
+        stale = global_result(k=1, frequent=(((A,), 3),), continue_flag=True)
         with pytest.raises(ProtocolError, match="level 1 during level 2"):
             site.update_heavy(stale)
 
     def test_second_global_result_for_a_level(self, market_sites):
         site = market_sites[0]
         site.build_report(1)
-        result = GlobalResult(k=1, frequent=(((A,), 3),), continue_flag=True)
+        result = global_result(k=1, frequent=(((A,), 3),), continue_flag=True)
         site.update_heavy(result)
         with pytest.raises(ProtocolError, match="second global result for level 1"):
             site.update_heavy(result)
         site.build_report(2)
-        site.update_heavy(GlobalResult(k=2, frequent=(), continue_flag=False))
+        site.update_heavy(global_result(k=2, frequent=(), continue_flag=False))
 
     def test_count_request_for_a_closed_level(self, market_sites):
         site = market_sites[0]
         site.build_report(1)
-        site.update_heavy(GlobalResult(k=1, frequent=(((A,), 3),), continue_flag=True))
+        site.update_heavy(global_result(k=1, frequent=(((A,), 3),), continue_flag=True))
         with pytest.raises(ProtocolError, match="closed level 1"):
-            site.handle_count_request(CountRequest(k=1, itemsets=((A,),)))
+            site.handle_count_request(request(k=1, itemsets=((A,),)))
 
     def test_rejects_empty_partition(self):
         from distmine.dataset import TransactionDb
@@ -188,30 +221,21 @@ _HEADERS = {
 
 def _message(kind, itemsets):
     """A level-2 message carrying ``itemsets``, count 1 each. ``kind`` is a
-    message type, built by its tuple constructor, or a (type, from_rows)
-    pair; with from_rows True the message is built from arrays."""
-    kind, from_rows = kind if isinstance(kind, tuple) else (kind, False)
-    if from_rows:
-        width = len(itemsets[0]) if itemsets else 2
-        rows = np.array(itemsets, dtype=np.int64).reshape(len(itemsets), width)
-        supports = None if kind is CountRequest else np.ones(len(rows), dtype=np.int64)
-        return kind.from_rows(rows, supports, **_HEADERS[kind])
-    entries = tuple((x, 1) for x in itemsets)
-    if kind is LocalReport:
-        return LocalReport(site_id=0, k=2, entries=entries)
-    if kind is CountRequest:
-        return CountRequest(k=2, itemsets=tuple(itemsets))
-    if kind is CountResponse:
-        return CountResponse(site_id=0, k=2, counts=entries)
-    return GlobalResult(k=2, frequent=entries, continue_flag=True)
+    message type, given its itemsets as a list of tuples, or a (type, True)
+    pair, given them as an int64 array of rows. A list of no tuples has no
+    width, so it is passed as an empty (0, 2) array."""
+    kind, as_array = kind if isinstance(kind, tuple) else (kind, False)
+    rows = itemsets
+    if as_array or not itemsets:
+        rows = _rows(itemsets, len(itemsets[0]) if itemsets else 2)
+    supports = None if kind is CountRequest else np.ones(len(rows), dtype=np.int64)
+    return kind(rows, supports, **_HEADERS[kind])
 
 
 MESSAGE_TYPES = [LocalReport, CountRequest, CountResponse, GlobalResult]
-VIEWS = {LocalReport: "entries", CountRequest: "itemsets", CountResponse: "counts",
-         GlobalResult: "frequent"}  # fmt: skip
 
-# Every message type by its tuple constructor (named after the type) and
-# by its array constructor.
+# Every message type given its itemsets as a list of tuples (named after the
+# type) and as an int64 array of rows (named ``<type>.from_rows``).
 CONSTRUCTORS = [pytest.param((kind, False), id=kind.__name__) for kind in MESSAGE_TYPES] + [
     pytest.param((kind, True), id=f"{kind.__name__}.from_rows") for kind in MESSAGE_TYPES
 ]
@@ -239,7 +263,8 @@ class TestMessages:
         [[(A,)], [(A, B), (A, B, C)], [(A,), (A, B)], [(A, B), (C, D, E)]],
     )
     def test_rejects_an_itemset_of_another_length(self, kind, itemsets):
-        with pytest.raises(ValueError, match="level-2 message"):
+        # numpy refuses a ragged list; the message, rows of one other length.
+        with pytest.raises(ValueError, match="level-2 message|inhomogeneous"):
             _message(kind, itemsets)
 
     @pytest.mark.parametrize("kind", CONSTRUCTORS)
@@ -270,34 +295,39 @@ class TestMessages:
     @pytest.mark.parametrize("kind", MESSAGE_TYPES)
     @pytest.mark.parametrize("itemsets", [[], [(-5, 3), (A, B), (A, 300), (B, 2**40)]])
     def test_constructors_agree(self, kind, itemsets):
+        # A list of tuples and an int64 array give one message.
         by_tuples, by_rows = _message(kind, itemsets), _message((kind, True), itemsets)
         assert by_tuples == by_rows
         assert canonical_size(by_tuples) == canonical_size(by_rows)
-        view = getattr(by_rows, VIEWS[kind])
-        assert view == getattr(by_tuples, VIEWS[kind])
-        expected = tuple(itemsets) if kind is CountRequest else tuple((x, 1) for x in itemsets)
-        assert view == expected
-        assert type(view) is tuple and all(type(x) is tuple for x in expected)
+        assert by_rows.rows.dtype == np.int64
+        assert by_rows.rows.tolist() == [list(x) for x in itemsets]
+        if kind is not CountRequest:
+            assert by_rows.supports.tolist() == [1] * len(itemsets)
+        else:
+            view = by_rows.itemsets
+            assert view == by_tuples.itemsets == tuple(itemsets)
+            assert type(view) is tuple and all(type(x) is tuple for x in view)
+            assert all(type(i) is int for x in view for i in x)
 
     def test_array_constructor_keeps_read_only_views(self):
         rows = np.array([(A, B), (A, C)], dtype=np.int64)
         supports = np.array([4, 5], dtype=np.int64)
-        msg = LocalReport.from_rows(rows, supports, site_id=1, k=2)
+        msg = LocalReport(rows, supports, site_id=1, k=2)
         assert np.shares_memory(msg.rows, rows) and np.shares_memory(msg.supports, supports)
         assert not msg.rows.flags.writeable and not msg.supports.flags.writeable
         with pytest.raises(AttributeError, match="immutable"):
             msg.k = 3
-        assert msg != LocalReport.from_rows(rows, supports + 1, site_id=1, k=2)
-        assert hash(msg) == hash(LocalReport(site_id=1, k=2, entries=msg.entries))
+        assert msg != LocalReport(rows, supports + 1, site_id=1, k=2)
+        assert hash(msg) == hash(report(site_id=1, k=2, entries=pairs(msg)))
 
     def test_array_constructor_wants_one_count_per_itemset(self):
         rows = np.array([(A, B), (A, C)], dtype=np.int64)
         with pytest.raises(ValueError, match="one count per itemset"):
-            GlobalResult.from_rows(rows, np.ones(3, np.int64), k=2, continue_flag=False)
+            GlobalResult(rows, np.ones(3, np.int64), k=2, continue_flag=False)
         with pytest.raises(TypeError, match="fields"):
-            CountRequest.from_rows(rows, np.ones(2, np.int64), k=2)
+            CountRequest(rows, np.ones(2, np.int64), k=2)
         with pytest.raises(TypeError, match="fields"):
-            CountResponse.from_rows(rows, np.ones(2, np.int64), k=2)
+            CountResponse(rows, np.ones(2, np.int64), k=2)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(row_lists())
@@ -336,14 +366,14 @@ class TestLocalPrune:
         site = market_sites[0]
         site.build_report(1)
         site.update_heavy(
-            GlobalResult(
+            global_result(
                 k=1,
                 frequent=(((A,), 3), ((B,), 2), ((C,), 2), ((E,), 2)),
                 continue_flag=True,
             )
         )
         cands = itemsets(site.local_candidates(2))
-        assert local_prune(cands, dict(site.reported.entries), site.site_threshold) == cands
+        assert local_prune(cands, dict(pairs(site.reported)), site.site_threshold) == cands
 
 
 class TestCenterSite:
@@ -355,31 +385,31 @@ class TestCenterSite:
         # B missing from site 1; C and E missing from site 0, one batched
         # request per site
         assert set(requests) == {0, 1}
-        assert requests[0].itemsets == ((C,), (E,))
-        assert requests[1].itemsets == ((B,),)
+        assert itemsets(requests[0].rows) == [(C,), (E,)]
+        assert itemsets(requests[1].rows) == [(B,)]
         # A's total is the sum of its two reports, with no poll
         polled = [market_sites[i].handle_count_request(requests[i]) for i in (0, 1)]
-        assert ((A,), 3) in market_center.finalize(polled).frequent
+        assert ((A,), 3) in pairs(market_center.finalize(polled))
 
     def test_maxcount_bound_values(self, market_center):
         # B reported only by site 0 with count 2: bound 2 + (1-1) = 2, kept;
         # a singleton reported only by site 1 with count 1: 1 + (2-1) = 2, kept
         reports = [
-            LocalReport(site_id=0, k=1, entries=(((B,), 2),)),
-            LocalReport(site_id=1, k=1, entries=(((C,), 1),)),
+            report(site_id=0, k=1, entries=(((B,), 2),)),
+            report(site_id=1, k=1, entries=(((C,), 1),)),
         ]
         _, pruned, requests = market_center.aggregate(reports)
         assert itemsets(pruned) == []
-        assert requests[0].itemsets == ((C,),)
-        assert requests[1].itemsets == ((B,),)
+        assert itemsets(requests[0].rows) == [(C,)]
+        assert itemsets(requests[1].rows) == [(B,)]
 
     def test_maxcount_prunes_hopeless_itemsets(self):
         center = CenterSite([4, 4], Fraction(1, 2))
         # global threshold 4; site thresholds 2 each; an itemset reported by
         # one site with count 2 can reach at most 2 + 1 = 3
         reports = [
-            LocalReport(site_id=0, k=1, entries=(((A,), 2),)),
-            LocalReport(site_id=1, k=1, entries=()),
+            report(site_id=0, k=1, entries=(((A,), 2),)),
+            report(site_id=1, k=1, entries=()),
         ]
         immediate, pruned, requests = center.aggregate(reports)
         assert itemsets(immediate) == []
@@ -394,47 +424,47 @@ class TestCenterSite:
             for sid, req in sorted(requests.items())
         ]
         result = market_center.finalize(responses)
-        assert result.frequent == (((A,), 3), ((B,), 2), ((C,), 2), ((E,), 2))
+        assert pairs(result) == (((A,), 3), ((B,), 2), ((C,), 2), ((E,), 2))
         assert result.continue_flag is True
 
     def test_all_empty_reports_stop_the_run(self, market_center):
         reports = [
-            LocalReport(site_id=0, k=1, entries=()),
-            LocalReport(site_id=1, k=1, entries=()),
+            report(site_id=0, k=1, entries=()),
+            report(site_id=1, k=1, entries=()),
         ]
         _, _, requests = market_center.aggregate(reports)
         assert requests == {}
         result = market_center.finalize([])
         assert result.continue_flag is False
-        assert result.frequent == ()
+        assert pairs(result) == ()
 
     def test_small_level_stops_the_run(self, market_center):
         # |L_1| = 1 < 2 stops the loop even though L_1 is non-empty
         reports = [
-            LocalReport(site_id=0, k=1, entries=(((A,), 2),)),
-            LocalReport(site_id=1, k=1, entries=(((A,), 1),)),
+            report(site_id=0, k=1, entries=(((A,), 2),)),
+            report(site_id=1, k=1, entries=(((A,), 1),)),
         ]
         market_center.aggregate(reports)
         result = market_center.finalize([])
-        assert result.frequent == (((A,), 3),)
+        assert pairs(result) == (((A,), 3),)
         assert result.continue_flag is False
 
     def test_duplicate_report_rejected(self, market_center):
         reports = [
-            LocalReport(site_id=0, k=1, entries=()),
-            LocalReport(site_id=0, k=1, entries=()),
+            report(site_id=0, k=1, entries=()),
+            report(site_id=0, k=1, entries=()),
         ]
         with pytest.raises(ProtocolError, match="one report per site"):
             market_center.aggregate(reports)
 
     def test_missing_report_rejected(self, market_center):
         with pytest.raises(ProtocolError, match="one report per site"):
-            market_center.aggregate([LocalReport(site_id=0, k=1, entries=())])
+            market_center.aggregate([report(site_id=0, k=1, entries=())])
 
     def test_mixed_level_reports_rejected(self, market_center):
         reports = [
-            LocalReport(site_id=0, k=1, entries=()),
-            LocalReport(site_id=1, k=2, entries=()),
+            report(site_id=0, k=1, entries=()),
+            report(site_id=1, k=2, entries=()),
         ]
         with pytest.raises(ProtocolError, match="levels"):
             market_center.aggregate(reports)
@@ -442,7 +472,7 @@ class TestCenterSite:
     def test_unrequested_response_rejected(self, market_sites, market_center):
         reports = [s.build_report(1) for s in market_sites]
         market_center.aggregate(reports)
-        rogue = CountResponse(site_id=1, k=1, counts=(((E,), 1),))
+        rogue = response(site_id=1, k=1, counts=(((E,), 1),))
         with pytest.raises(ProtocolError, match="unrequested"):
             market_center.finalize([rogue])
 
@@ -459,21 +489,21 @@ class TestCenterSite:
         center = CenterSite([4, 4], Fraction(1, 2))
         low, high = -(2**62), 2**40
         reports = [
-            LocalReport(site_id=0, k=1, entries=(((low,), 3), ((-1,), 2), ((high,), 3))),
-            LocalReport(site_id=1, k=1, entries=(((-1,), 3),)),
+            report(site_id=0, k=1, entries=(((low,), 3), ((-1,), 2), ((high,), 3))),
+            report(site_id=1, k=1, entries=(((-1,), 3),)),
         ]
         immediate, _, requests = center.aggregate(reports)
         assert itemsets(immediate) == [(-1,)]
-        assert requests[1].itemsets == ((low,), (high,))
-        answer = CountResponse(site_id=1, k=1, counts=(((low,), 0), ((high,), 1)))
+        assert itemsets(requests[1].rows) == [(low,), (high,)]
+        answer = response(site_id=1, k=1, counts=(((low,), 0), ((high,), 1)))
         result = center.finalize([answer])
-        assert result.frequent == (((-1,), 5), ((high,), 4))
+        assert pairs(result) == (((-1,), 5), ((high,), 4))
 
     def test_second_answer_for_an_itemset_rejected(self, market_sites, market_center):
         reports = [s.build_report(1) for s in market_sites]
         _, _, requests = market_center.aggregate(reports)
         answer = market_sites[0].handle_count_request(requests[0])
-        again = CountResponse(site_id=0, k=1, counts=(((E,), 1),))
+        again = response(site_id=0, k=1, counts=(((E,), 1),))
         with pytest.raises(ProtocolError, match=r"site 0 answered unrequested itemset \(5,\)"):
             market_center.finalize([answer, again])
 
@@ -483,13 +513,13 @@ class TestCenterSite:
         # missing only from site 2, so only site 2 is polled
         center = CenterSite([4, 4, 4], Fraction(1, 3))
         reports = [
-            LocalReport(site_id=0, k=1, entries=(((A,), 2),)),
-            LocalReport(site_id=1, k=1, entries=(((A,), 2),)),
-            LocalReport(site_id=2, k=1, entries=()),
+            report(site_id=0, k=1, entries=(((A,), 2),)),
+            report(site_id=1, k=1, entries=(((A,), 2),)),
+            report(site_id=2, k=1, entries=()),
         ]
         _, _, requests = center.aggregate(reports)
         assert list(requests) == [2]
-        rogue = CountResponse(site_id=site_id, k=1, counts=(((A,), 1),))
+        rogue = response(site_id=site_id, k=1, counts=(((A,), 1),))
         with pytest.raises(ProtocolError, match=f"site {site_id} answered unrequested"):
             center.finalize([rogue])
 
@@ -498,26 +528,26 @@ class TestCenterSite:
         # D and 0 were reported by no site, 40 and -1 are no item here
         reports = [s.build_report(1) for s in market_sites]
         market_center.aggregate(reports)
-        rogue = CountResponse(site_id=1, k=1, counts=((itemset, 0),))
+        rogue = response(site_id=1, k=1, counts=((itemset, 0),))
         with pytest.raises(ProtocolError, match=f"unrequested itemset \\({itemset[0]},\\)"):
             market_center.finalize([rogue])
 
     def test_pruned_itemset_answer_rejected(self):
         center = CenterSite([4, 4], Fraction(1, 2))
         reports = [
-            LocalReport(site_id=0, k=1, entries=(((A,), 2),)),
-            LocalReport(site_id=1, k=1, entries=()),
+            report(site_id=0, k=1, entries=(((A,), 2),)),
+            report(site_id=1, k=1, entries=()),
         ]
         _, pruned, _ = center.aggregate(reports)
         assert len(pruned) == 1
         with pytest.raises(ProtocolError, match="unrequested"):
-            center.finalize([CountResponse(site_id=1, k=1, counts=(((A,), 2),))])
+            center.finalize([response(site_id=1, k=1, counts=(((A,), 2),))])
 
     def test_partial_answer_rejected(self, market_sites, market_center):
         reports = [s.build_report(1) for s in market_sites]
         _, _, requests = market_center.aggregate(reports)
-        assert requests[0].itemsets == ((C,), (E,))
-        partial = CountResponse(site_id=0, k=1, counts=(((C,), 1),))
+        assert itemsets(requests[0].rows) == [(C,), (E,)]
+        partial = response(site_id=0, k=1, counts=(((C,), 1),))
         answered = [partial, market_sites[1].handle_count_request(requests[1])]
         with pytest.raises(ProtocolError, match=r"missing count responses for \[\(5,\)\]"):
             market_center.finalize(answered)
@@ -526,7 +556,7 @@ class TestCenterSite:
         reports = [s.build_report(1) for s in market_sites]
         market_center.aggregate(reports)
         with pytest.raises(ProtocolError, match="level"):
-            market_center.finalize([CountResponse(site_id=0, k=3, counts=())])
+            market_center.finalize([response(site_id=0, k=3, counts=())])
 
 
 class TestImprovedRun:
@@ -648,8 +678,8 @@ class TestImprovedRun:
             run = ImprovedRun(parts, "0.4")
             with local_prune_checks() as checks:
                 run.run()
-            for _, x in run.maxcount_pruned:
-                assert x not in frequent
+            for rows in run.maxcount_pruned:
+                assert frequent.isdisjoint(itemsets(rows))
             assert all(dropped == [] for _, _, dropped in checks), (seed, checks)
             n_checks += len(checks)
         assert n_checks > 0
