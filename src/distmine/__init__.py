@@ -31,7 +31,6 @@ from .messages import (
 from .miner import (
     MiningResult,
     RoundMetrics,
-    apriori_gen,
     parse_minsup,
     run_sequential,
     sequential_apriori,
@@ -42,8 +41,6 @@ from .protocol import (
     ImprovedRun,
     LocalSite,
     ProtocolError,
-    local_prune,
-    local_support,
     run_improved,
 )
 
@@ -68,12 +65,9 @@ __all__ = [
     "ScanCounter",
     "TraceRecord",
     "TransactionDb",
-    "apriori_gen",
     "dump_fimi",
     "generate_synthetic",
     "load_fimi",
-    "local_prune",
-    "local_support",
     "parse_minsup",
     "partition",
     "run_cd",

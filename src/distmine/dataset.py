@@ -137,7 +137,8 @@ class TransactionDb:
         # Item j of the result sits at its row's start in self.items plus
         # its offset within the row.
         shift = np.repeat(self.indptr[rows] - indptr[:-1], lengths)
-        items = self.items[shift + np.arange(indptr[-1])]
+        shift += np.arange(indptr[-1])
+        items = self.items[shift]
         return TransactionDb._trusted(indptr, items, self.universe)
 
 

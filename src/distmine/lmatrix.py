@@ -4,7 +4,8 @@ The matrix is built from a database in a single scan; afterwards every
 support query is answered by intersecting item columns and popcounting,
 never by re-reading raw transactions. ``LMatrix.count`` is the counting
 path of all three miners: it answers a whole level of candidates in a few
-numpy calls per fixed-size chunk. ``support`` answers a single itemset.
+numpy calls per fixed-size chunk. ``support`` and ``support_batch`` check
+their input and call ``count``.
 """
 
 from __future__ import annotations
@@ -64,29 +65,6 @@ class LMatrix:
         counter.record_scan()
         return cls(n_rows, n_cols, words)
 
-    def _column(self, item: int) -> np.ndarray:
-        if not 0 <= item < self.n_cols:
-            raise ValueError(f"item {item} outside universe of {self.n_cols} items")
-        return self._words[item]
-
-    def support(self, itemset: Itemset) -> int:
-        """Number of transactions containing every item of ``itemset``.
-
-        Columns are intersected in the given (ascending) order with an early
-        exit once the running vector is all zero. Rejects empty itemsets and
-        out-of-range items. Kept for bench/tracer.py; the miners use ``count``.
-        """
-        if not itemset:
-            raise ValueError("support of the empty itemset is not queryable")
-        if len(itemset) == 1:
-            return int(np.bitwise_count(self._column(itemset[0])).sum())
-        acc = self._column(itemset[0]).copy()
-        for item in itemset[1:]:
-            acc &= self._column(item)
-            if not acc.any():
-                return 0
-        return int(np.bitwise_count(acc).sum())
-
     def count(self, itemsets) -> np.ndarray:
         """Supports of equal-length itemsets, in input order, as int64.
 
@@ -121,25 +99,33 @@ class LMatrix:
             counts[at] = np.bitwise_count(a).sum(axis=1)
         return counts
 
+    def _check(self, itemset: Itemset) -> None:
+        if not itemset:
+            raise ValueError("support of the empty itemset is not queryable")
+        if min(itemset) < 0 or max(itemset) >= self.n_cols:
+            item = next(i for i in itemset if not 0 <= i < self.n_cols)
+            raise ValueError(f"item {item} outside universe of {self.n_cols} items")
+
+    def support(self, itemset: Itemset) -> int:
+        """Number of transactions containing every item of ``itemset``, which
+        must be non-empty and inside the universe; counted by ``count``.
+        Kept for bench/tracer.py and demo 01; the miners call ``count``."""
+        self._check(itemset)
+        return int(self.count([itemset])[0])
+
     def support_batch(self, itemsets: list[Itemset]) -> list[int]:
-        """Map support() over ``itemsets``, naming a failing index; kept for bench/tracer.py."""
-        out = []
+        """support() of each itemset, a failure naming its index, from one
+        ``count`` call. Shorter itemsets are padded by repeating their last
+        item, which leaves their AND as it is. Kept for bench/tracer.py."""
         for i, x in enumerate(itemsets):
             try:
-                out.append(self.support(x))
+                self._check(x)
             except ValueError as err:
                 raise ValueError(f"itemset at index {i}: {err}") from None
-        return out
+        width = max(map(len, itemsets), default=1)
+        return self.count([list(x) + [x[-1]] * (width - len(x)) for x in itemsets]).tolist()
 
     def dump_rows(self) -> list[str]:
         """Debug view: one '0'/'1' string per transaction (row-major display)."""
-        rows = []
-        for r in range(self.n_rows):
-            word, bit = r >> 6, np.uint64(r & 63)
-            rows.append(
-                "".join(
-                    "1" if (self._words[c, word] >> bit) & np.uint64(1) else "0"
-                    for c in range(self.n_cols)
-                )
-            )
-        return rows
+        bits = np.unpackbits(self._words.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+        return [row.tobytes().decode() for row in bits[:, : self.n_rows].T + ord("0")]

@@ -39,9 +39,7 @@ class ProtocolError(RuntimeError):
 def local_support(matrix: LMatrix, itemset: Itemset) -> int:
     """Support on a site's matrix; items the site has never seen count 0.
     Kept for bench/tracer.py; sites count with ``LMatrix.count``."""
-    if itemset and itemset[-1] >= matrix.n_cols:
-        return 0
-    return matrix.support(itemset)
+    return int(matrix.count([itemset])[0])
 
 
 def local_prune(
@@ -101,8 +99,7 @@ class LocalSite:
         self.size = part.size
         self.site_threshold = threshold(minsup, part.size)
         self.universe = part.universe
-        self.level = 1  # of the last report; messages must match it
-        self.closed = False  # a GlobalResult has closed ``level``
+        self.closed = False  # a GlobalResult has closed the reported level
         nothing = np.empty((0, 1), dtype=np.int64)
         self.heavy_prev = self.last_candidates = nothing
         self.reported = LocalReport(nothing, nothing[:, 0], site_id=site_id, k=1)
@@ -122,7 +119,6 @@ class LocalSite:
         candidates = self.local_candidates(k)
         counts = self.matrix.count(candidates)
         frequent = counts >= self.site_threshold
-        self.level = k
         self.closed = False
         self.last_candidates = candidates
         self.reported = LocalReport(
@@ -131,9 +127,9 @@ class LocalSite:
         return self.reported
 
     def _check_level(self, what: str, k: int) -> None:
-        if k != self.level:
+        if k != self.reported.k:
             raise ProtocolError(
-                f"site {self.site_id}: {what} for level {k} during level {self.level}"
+                f"site {self.site_id}: {what} for level {k} during level {self.reported.k}"
             )
 
     def handle_count_request(self, req: CountRequest) -> CountResponse:

@@ -3,7 +3,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from distmine import LocalSite, TransactionDb, generate_synthetic, load_fimi, local_prune
+from distmine import LocalSite, TransactionDb, generate_synthetic, load_fimi
+from distmine.protocol import local_prune
 
 # The running supermarket example: transactions ABC / ABDE / ACE with items
 # labeled A..E = 1..5 (item 0 unused).

@@ -171,7 +171,7 @@ class TestPartition:
 
     @pytest.mark.parametrize("strategy", ["random", "round-robin"])
     def test_memory_is_the_parts(self, strategy):
-        # Beside the parts, a part's gather temporaries are held (about 6 MB
+        # Beside the parts, a part's gather temporaries are held (about 3 MB
         # here), but no permuted copy of the whole 10.6 MB database.
         db = generate_synthetic(120_000, 100, 10, seed=1)
         tracemalloc.start()
@@ -180,7 +180,7 @@ class TestPartition:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - sum(p.indptr.nbytes + p.items.nbytes for p in parts) <= 8 << 20
+        assert peak - sum(p.indptr.nbytes + p.items.nbytes for p in parts) <= 4 << 20
 
 
 # Databases used by the benchmark, criteria 7/8 and the sweep tests.

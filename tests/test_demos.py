@@ -18,7 +18,7 @@ def test_demo_runs(demo, tmp_path):
     # the demos read the public API (run.sites, scan_counter, metrics
     # fields); each must still run to completion against the package
     out = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,

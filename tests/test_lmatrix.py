@@ -42,10 +42,14 @@ class TestBuild:
     def test_word_boundaries(self, n_rows):
         # every transaction holds item 0; odd rows also hold item 1
         txns = tuple((0,) if r % 2 == 0 else (0, 1) for r in range(n_rows))
-        m, _ = build(TransactionDb(transactions=txns, universe=2))
+        db = TransactionDb(transactions=txns, universe=2)
+        m, _ = build(db)
         assert m.support((0,)) == n_rows
         assert m.support((1,)) == n_rows // 2
         assert m.support((0, 1)) == n_rows // 2
+        assert m.dump_rows() == [
+            "".join("1" if c in t else "0" for c in range(2)) for t in db.transactions
+        ]
 
     @pytest.mark.parametrize("n_rows", [30_000, 120_000])
     def test_memory_is_the_matrix(self, n_rows):
@@ -102,6 +106,33 @@ class TestSupport:
         m.support_batch([(0,), (0, 2), (1, 2, 3)])
         assert counter.raw_scans == 1
 
+    def test_batch_of_mixed_lengths_matches_naive(self):
+        rng = np.random.default_rng(3)
+        shuffle = random.Random(3).shuffle
+        for _ in range(10):
+            db = random_raw_db(rng, max_txns=100, max_items=8)
+            m, _ = build(db)
+            itemsets = [
+                x for k in range(1, 5) for x in combinations(range(db.universe), k)
+            ]
+            shuffle(itemsets)
+            assert m.support_batch(itemsets) == [
+                naive_support(db.transactions, x) for x in itemsets
+            ]
+
+    def test_batch_is_one_count_call(self, market_db_zero_indexed, monkeypatch):
+        m, _ = build(market_db_zero_indexed)
+        calls = []
+        count = LMatrix.count
+
+        def counted(self, itemsets):
+            calls.append(len(itemsets))
+            return count(self, itemsets)
+
+        monkeypatch.setattr(LMatrix, "count", counted)
+        assert m.support_batch([(0, 2), (4,), (0, 1, 3), (1,)]) == [2, 2, 1, 2]
+        assert calls == [4]
+
 
 class TestOracleEquivalence:
     def test_matches_naive_counts(self):
@@ -128,7 +159,8 @@ class TestOracleEquivalence:
 
 class TestCount:
     def test_matches_support_shuffled_with_unseen_items(self):
-        # items >= n_cols occur in no transaction of this matrix
+        # items >= n_cols occur in no transaction of this matrix; the
+        # reference is the brute-force count over the raw transactions
         rng = np.random.default_rng(11)
         shuffle = random.Random(11).shuffle
         for _ in range(30):
@@ -137,9 +169,7 @@ class TestCount:
             for k in range(1, 5):
                 itemsets = list(combinations(range(db.universe + 2), k))
                 shuffle(itemsets)
-                expected = [
-                    m.support(x) if x[-1] < db.universe else 0 for x in itemsets
-                ]
+                expected = [naive_support(db.transactions, x) for x in itemsets]
                 got = m.count(itemsets)
                 assert got.dtype == np.int64
                 assert got.tolist() == expected
@@ -158,7 +188,7 @@ class TestCount:
             monkeypatch.setattr(lmatrix, "CHUNK_BYTES", chunk_rows * 8 * n_words)
             for k in range(1, 4):
                 itemsets = list(combinations(range(db.universe + 1), k))
-                expected = [m.support(x) if x[-1] < db.universe else 0 for x in itemsets]
+                expected = [naive_support(db.transactions, x) for x in itemsets]
                 assert m.count(itemsets).tolist() == expected
 
     def test_empty_input(self, market_db_zero_indexed):

@@ -13,7 +13,6 @@ from conftest import MARKET_FREQUENT, corpus_db
 
 from distmine import (
     PartitionSpec,
-    apriori_gen,
     load_fimi,
     parse_minsup,
     partition,
@@ -24,6 +23,7 @@ from distmine import (
     threshold,
 )
 from distmine.dataset import TransactionDb
+from distmine.miner import apriori_gen
 
 
 class TestParseMinsup:

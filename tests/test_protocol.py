@@ -18,12 +18,12 @@ from distmine import (
     LocalSite,
     PartitionSpec,
     ProtocolError,
-    local_prune,
     partition,
     run_improved,
     sequential_apriori,
 )
 from distmine.messages import _check_sorted, canonical_size
+from distmine.protocol import local_prune
 
 TWO_THIRDS = Fraction(2, 3)
 
