@@ -18,6 +18,6 @@ for minsup in ("0.5", "0.3", "0.15"):
         by_len[len(itemset)] = by_len.get(len(itemset), 0) + 1
     print(f"\nminsup {minsup} (count >= {thr}): {len(result.frequent)} itemsets {by_len}")
     # the five most frequent itemsets of size >= 2
-    pairs_up = [(x, n) for x, n in result.sorted_items() if len(x) >= 2]
+    pairs_up = [(x, n) for x, n in result.frequent.items() if len(x) >= 2]
     for itemset, count in sorted(pairs_up, key=lambda e: -e[1])[:5]:
         print(f"   {itemset} appears in {count} baskets")

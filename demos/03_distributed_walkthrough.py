@@ -36,7 +36,7 @@ for m in run.metrics:
           f" reported={m.llk_total} frequent={m.lk_size}")
 
 print("\nglobally frequent itemsets:")
-for itemset, count in result.sorted_items():
+for itemset, count in result.frequent.items():
     print(f"  {pretty(itemset):<25} support {count}")
 
 print("\neach site scanned its raw partition exactly once:",

@@ -7,7 +7,7 @@ level), with a count-distribution baseline and a sequential miner for
 comparison.
 """
 
-from .count_distribution import CountDistributionRun, run_cd
+from .count_distribution import CountDistributionRun
 from .dataset import (
     FimiFormatError,
     Itemset,
@@ -36,13 +36,7 @@ from .miner import (
     sequential_apriori,
     threshold,
 )
-from .protocol import (
-    CenterSite,
-    ImprovedRun,
-    LocalSite,
-    ProtocolError,
-    run_improved,
-)
+from .protocol import CenterSite, ImprovedRun, LocalSite, ProtocolError
 
 __all__ = [
     "CenterSite",
@@ -70,8 +64,6 @@ __all__ = [
     "load_fimi",
     "parse_minsup",
     "partition",
-    "run_cd",
-    "run_improved",
     "run_sequential",
     "sequential_apriori",
     "threshold",

@@ -91,8 +91,8 @@ def _reject_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
 
 def load_labels(path: Path) -> dict[int, str]:
     """Read an item-id -> name map from a JSON object whose keys are item ids
-    in ASCII decimal digits; no key may repeat and two keys may not name the
-    same item."""
+    in ASCII decimal digits and whose values are strings; no key may repeat
+    and two keys may not name the same item."""
     try:
         raw = json.loads(
             path.read_text(encoding="utf-8"), object_pairs_hook=_reject_repeated_keys
@@ -110,21 +110,25 @@ def load_labels(path: Path) -> dict[int, str]:
             raise FimiFormatError(
                 f"labels file {path}: item id {key!r} names item {item} again"
             )
-        labels[item] = str(value)
+        if not isinstance(value, str):
+            raise FimiFormatError(f"labels file {path}: label of {key!r} is not a string")
+        labels[item] = value
     return labels
 
 
 def result_to_json(
     result: MiningResult, minsup_text: str, labels: dict[int, str] | None = None
 ) -> str:
-    """Serialize a result to the stable JSON schema (sorted, compact)."""
+    """Serialize a result to the stable JSON schema (compact), its entries
+    written from each level's arrays in (length, lex) order."""
     entries = []
-    for items, support in result.sorted_items():
-        entry: dict = {"items": list(items)}
-        if labels is not None:
-            entry["labels"] = [labels.get(i, str(i)) for i in items]
-        entry["support"] = support
-        entries.append(entry)
+    for rows, supports in result.levels:
+        for items, support in zip(rows.tolist(), supports.tolist()):
+            entry: dict = {"items": items}
+            if labels is not None:
+                entry["labels"] = [labels.get(i, str(i)) for i in items]
+            entry["support"] = support
+            entries.append(entry)
     return json.dumps(
         {
             "minsup": minsup_text,

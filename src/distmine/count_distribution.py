@@ -63,11 +63,3 @@ class CountDistributionRun:
                     self.log.send(f"site:{i}", f"site:{j}", report)
         return sum(vectors), n * len(rows)
 
-
-def run_cd(
-    partitions: list[TransactionDb], minsup
-) -> tuple[MiningResult, list[RoundMetrics]]:
-    """Count-distribution mining over ``partitions``; result plus per-round metrics."""
-    run = CountDistributionRun(partitions, minsup)
-    result = run.run()
-    return result, run.metrics

@@ -24,22 +24,21 @@ from .dataset import Itemset
 
 
 def _check_sorted(rows: np.ndarray, k: int) -> None:
-    """Every itemset of a level-k message has k items, and the rows are in
-    strictly rising lexicographic order; with one length, that is the
-    (length, lex) order."""
+    """A message's level k is at least 1, every itemset of a level-k message
+    has k items, and the rows are in strictly rising lexicographic order;
+    with one length, that is the (length, lex) order."""
+    if k < 1:
+        raise ValueError(f"a message's level is at least 1, got {k}")
     if rows.ndim != 2 or rows.shape[1] != k:
         raise ValueError(f"a level-{k} message carries only {k}-itemsets")
-    if len(rows) < 2:
-        return
     # A row follows its neighbour iff it is greater in the first column where
-    # they differ; in a repeat that is column 0, where they are equal. Two
-    # 0-itemsets always repeat.
-    first = (rows[1:] != rows[:-1]).argmax(axis=1, keepdims=True) if k else None
-    if first is None or not np.take_along_axis(rows[1:] > rows[:-1], first, 1).all():
+    # they differ; in a repeat that is column 0, where they are equal.
+    first = (rows[1:] != rows[:-1]).argmax(axis=1, keepdims=True)
+    if not np.take_along_axis(rows[1:] > rows[:-1], first, 1).all():
         raise ValueError("message itemsets must be (length, lex) sorted and duplicate-free")
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
+def read_only(a: np.ndarray) -> np.ndarray:
     view = a.view()
     view.flags.writeable = False
     return view
@@ -62,12 +61,12 @@ class _Columnar:
             raise TypeError(f"{type(self).__name__} has the fields {self._names()}")
         rows = np.asarray(rows, dtype=np.int64)
         _check_sorted(rows, header["k"])
-        fields = dict(header, rows=_read_only(rows))
+        fields = dict(header, rows=read_only(rows))
         if self.COUNTED:
             supports = np.asarray(supports, dtype=np.int64)
             if supports.shape != (len(rows),):
                 raise ValueError("a message carries one count per itemset")
-            fields["supports"] = _read_only(supports)
+            fields["supports"] = read_only(supports)
         self.__dict__.update(fields)
 
     def _names(self) -> tuple[str, ...]:

@@ -4,6 +4,7 @@ miner that is the correctness reference for the distributed algorithms."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from .dataset import Itemset, TransactionDb
 from .lmatrix import LMatrix, ScanCounter
-from .messages import MessageLog
+from .messages import MessageLog, read_only
 
 
 def parse_minsup(value) -> Fraction:
@@ -116,25 +117,35 @@ def apriori_gen(prev_frequent) -> list[Itemset]:
 
 @dataclass(frozen=True)
 class MiningResult:
-    """Frequent itemsets with their global support counts, in (length,
-    lexicographic) order, as ``mine_levels`` inserts them."""
+    """Frequent itemsets with their global support counts. ``levels[k-1]``
+    holds the frequent k-itemsets as the read-only rows of an (m, k) int64
+    array, in strictly rising lexicographic order, and their read-only count
+    vector; there is one level per length up to the longest frequent one."""
 
     minsup: Fraction
     db_size: int
-    frequent: dict[Itemset, int]
+    levels: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     @property
     def threshold(self) -> int:
         return threshold(self.minsup, self.db_size)
 
-    def sorted_items(self) -> list[tuple[Itemset, int]]:
-        """Entries in ``frequent``'s own order: (length, lexicographic) for
-        results that ``mine_levels`` builds, which every miner does."""
-        return list(self.frequent.items())
+    @functools.cached_property
+    def frequent(self) -> dict[Itemset, int]:
+        """The itemsets as tuples with their counts, in (length, lex) order,
+        built on first use."""
+        frequent: dict[Itemset, int] = {}
+        for rows, supports in self.levels:
+            frequent.update(zip(map(tuple, rows.tolist()), supports.tolist()))
+        return frequent
 
-    def level(self, k: int) -> dict[Itemset, int]:
-        """The frequent k-itemsets."""
-        return {x: n for x, n in self.frequent.items() if len(x) == k}
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MiningResult):
+            return NotImplemented
+        mine, theirs = sum(self.levels, ()), sum(other.levels, ())
+        header = (self.minsup, self.db_size, len(mine))
+        same = header == (other.minsup, other.db_size, len(theirs))
+        return same and all(map(np.array_equal, mine, theirs))
 
 
 @dataclass(frozen=True)
@@ -159,13 +170,14 @@ def mine_levels(
     """The level loop of every miner. ``levels`` yields, per level, its
     frequent itemsets as sorted rows, their counts, the number of distinct
     candidates counted and of report entries sent; the miner stops by ending
-    it. Only here do itemsets become tuples, in the result. A level's
-    metrics row counts what ``log`` recorded while the level ran."""
-    frequent: dict[Itemset, int] = {}
+    it. The result keeps read-only views of each non-empty level's arrays. A
+    level's metrics row counts what ``log`` recorded while the level ran."""
+    frequent: list[tuple[np.ndarray, np.ndarray]] = []
     metrics: list[RoundMetrics] = []
     sent, sent_bytes = log.messages_sent, log.payload_bytes
     for k, (rows, supports, candidates, entries) in enumerate(levels, 1):
-        frequent.update(zip(map(tuple, rows.tolist()), supports.tolist()))
+        if len(rows):
+            frequent.append((read_only(rows), read_only(supports)))
         metrics.append(
             RoundMetrics(
                 k=k,
@@ -177,7 +189,7 @@ def mine_levels(
             )
         )
         sent, sent_bytes = log.messages_sent, log.payload_bytes
-    return MiningResult(minsup=minsup, db_size=db_size, frequent=frequent), metrics
+    return MiningResult(minsup, db_size, tuple(frequent)), metrics
 
 
 def apriori_levels(universe: int, thr: int, count):

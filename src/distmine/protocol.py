@@ -351,20 +351,3 @@ class ImprovedRun:
             if not outcome.continue_flag:
                 return
 
-
-def run_improved(
-    partitions: list[TransactionDb],
-    minsup,
-    *,
-    count_colocated_messages: bool = True,
-) -> tuple[MiningResult, list[RoundMetrics]]:
-    """Mine the union of ``partitions``; returns the result and per-round metrics.
-
-    The result is exactly equal to sequential mining over the concatenated
-    partitions.
-    """
-    run = ImprovedRun(
-        partitions, minsup, count_colocated_messages=count_colocated_messages
-    )
-    result = run.run()
-    return result, run.metrics

@@ -33,6 +33,12 @@ def market_db_zero_indexed() -> TransactionDb:
     return load_fimi("0 1 2\n0 1 3 4\n0 2 4\n")
 
 
+def mine(run) -> tuple:
+    """Run a distributed miner (an ``ImprovedRun`` or a
+    ``CountDistributionRun``); its result and per-round metrics."""
+    return run.run(), run.metrics
+
+
 def corpus_db(seed: int) -> TransactionDb:
     """Deterministic small database #seed (8..40 transactions, 4..10 items)."""
     n_txns = 8 + (seed * 7) % 33

@@ -1,11 +1,10 @@
 import pytest
-from conftest import MARKET_FREQUENT, corpus_db
+from conftest import MARKET_FREQUENT, corpus_db, mine
 
 from distmine import (
     CountDistributionRun,
     PartitionSpec,
     partition,
-    run_cd,
     sequential_apriori,
 )
 
@@ -13,13 +12,13 @@ from distmine import (
 class TestCountDistribution:
     def test_market_result_matches_oracle(self, market_db):
         parts = partition(market_db, PartitionSpec(n_sites=2))
-        result, _ = run_cd(parts, "2/3")
+        result = CountDistributionRun(parts, "2/3").run()
         assert result == sequential_apriori(market_db, "2/3")
         assert result.frequent == MARKET_FREQUENT
 
     def test_messages_per_round_is_n_times_n_minus_1(self, market_db):
         parts = partition(market_db, PartitionSpec(n_sites=2))
-        _, metrics = run_cd(parts, "2/3")
+        _, metrics = mine(CountDistributionRun(parts, "2/3"))
         assert [m.messages_sent for m in metrics] == [2, 2]
 
     def test_single_site_sends_nothing(self, market_db):
@@ -63,7 +62,7 @@ class TestCountDistribution:
                     parts = partition(
                         db, PartitionSpec(n_sites=n, strategy=strategy, seed=seed)
                     )
-                    result, metrics = run_cd(parts, "0.3")
+                    result, metrics = mine(CountDistributionRun(parts, "0.3"))
                     assert result == oracle, (seed, n, strategy)
                     assert all(m.messages_sent == n * (n - 1) for m in metrics)
 

@@ -244,6 +244,25 @@ class TestRun:
                 assert status == 0
         assert capsys.readouterr().out.count('"frequent"') == 6
 
+    @pytest.mark.parametrize("algorithm", ["improved", "cd", "sequential"])
+    def test_writes_json_without_the_result_tuple_view(
+        self, algorithm, market_file, tmp_path, monkeypatch, capsys
+    ):
+        # The result JSON is written from each level's arrays: the tuple
+        # view of the result is never built.
+        def no_view(result):
+            raise AssertionError("MiningResult.frequent was read")
+
+        monkeypatch.setattr(distmine.MiningResult, "frequent", property(no_view))
+        labels = tmp_path / "labels.json"
+        labels.write_text(MARKET_LABELS)
+        market = ("--input", market_file, "--minsup", "2/3", "--sites", "2")
+        for source in (market, PINNED_RUN):
+            for extra in ((), ("--labels", labels)):
+                assert run_cli(*source, "--algorithm", algorithm, *extra) == 0
+        sizes = [len(json.loads(line)["frequent"]) for line in capsys.readouterr().out.splitlines()]
+        assert sizes[:2] == [7, 7] and sizes[2] == sizes[3] > 7
+
     def test_pinned_run_polls_and_prunes(self):
         db = distmine.generate_synthetic(500, 20, 4, seed=4)
         parts = distmine.partition(db, distmine.PartitionSpec(5, "random", 7))
@@ -392,6 +411,10 @@ class TestErrors:
             ('{"-1":"A"}', "-1"),
             ('{"1":"A","01":"B"}', "01"),
             ('{"1":"A","1":"B"}', "1"),
+            ('{"1":"A","2":null}', "2"),
+            ('{"1":"A","2":7}', "2"),
+            ('{"1":"A","2":{"a":1}}', "2"),
+            ('{"1":"A","2":["A"]}', "2"),
         ],
     )
     def test_bad_labels_key(self, market_file, tmp_path, capsys, labels_json, key):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from bruteforce import (
     enumerate_frequent,
@@ -9,15 +10,17 @@ from bruteforce import (
     naive_support,
     oracle_threshold,
 )
-from conftest import MARKET_FREQUENT, corpus_db
+from conftest import MARKET_FREQUENT, corpus_db, mine
 
 from distmine import (
+    CountDistributionRun,
+    ImprovedRun,
+    MiningResult,
     PartitionSpec,
+    generate_synthetic,
     load_fimi,
     parse_minsup,
     partition,
-    run_cd,
-    run_improved,
     run_sequential,
     sequential_apriori,
     threshold,
@@ -191,7 +194,7 @@ class TestSequentialApriori:
         a = sequential_apriori(market_db, "2/3")
         b = sequential_apriori(market_db, "2/3")
         assert list(a.frequent.items()) == list(b.frequent.items())
-        assert a.sorted_items() == b.sorted_items()
+        assert a == b
 
     def test_downward_closure(self):
         db = corpus_db(2)
@@ -204,7 +207,8 @@ class TestSequentialApriori:
 
     def test_level_accessor(self, market_db):
         result = sequential_apriori(market_db, "2/3")
-        assert set(result.level(2)) == {(1, 2), (1, 3), (1, 5)}
+        rows, supports = result.levels[1]
+        assert (rows.tolist(), supports.tolist()) == ([[1, 2], [1, 3], [1, 5]], [2, 2, 2])
 
     def test_counts_are_true_supports(self):
         db = corpus_db(4)
@@ -223,8 +227,8 @@ class TestStopRules:
         parts = partition(db, spec)
         return {
             "sequential": run_sequential(db, minsup)[1],
-            "cd": run_cd(parts, minsup)[1],
-            "improved": run_improved(parts, minsup)[1],
+            "cd": mine(CountDistributionRun(parts, minsup))[1],
+            "improved": mine(ImprovedRun(parts, minsup))[1],
         }
 
     def test_universe_zero(self):
@@ -243,3 +247,53 @@ class TestStopRules:
         assert [(m.k, m.lk_size) for m in first] == [(1, 6), (2, 3)]
         assert closing.k == 3 and closing.lk_size == 0
         assert (closing.candidates_generated, closing.messages_sent) == (0, 4)
+
+
+class TestResultLevels:
+    """``MiningResult.levels`` keeps each non-empty level's read-only arrays,
+    so the three miners give equal results whatever their stop rules."""
+
+    CASES = {
+        # improved's closing round (level 3) finds nothing; cd and sequential
+        # never run it
+        "closing_round": lambda: (
+            TransactionDb(((0, 1), (0, 1), (2, 3), (2, 3), (4, 5), (4, 5)), universe=6),
+            "1/3",
+            PartitionSpec(n_sites=2, strategy="round-robin"),
+        ),
+        # the uniform-deep benchmark input at seed 1: 6 levels, and an empty
+        # closing level 7 in improved
+        "uniform_deep": lambda: (
+            generate_synthetic(30_000, 100, 10, seed=1),
+            "0.02",
+            PartitionSpec(n_sites=4),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_miners_agree_level_for_level(self, case):
+        db, minsup, spec = self.CASES[case]()
+        parts = partition(db, spec)
+        sequential = run_sequential(db, minsup)[0]
+        cd = CountDistributionRun(parts, minsup).run()
+        improved = ImprovedRun(parts, minsup).run()
+        assert improved == cd == sequential
+        assert len(improved.levels) == len(cd.levels) == len(sequential.levels) > 1
+        for result in (sequential, cd, improved):
+            for k, (rows, supports) in enumerate(result.levels, 1):
+                assert rows.shape == (len(supports), k) and len(supports) > 0
+                assert rows.dtype == supports.dtype == np.int64
+                assert not rows.flags.writeable and not supports.flags.writeable
+
+    def test_equality_reads_minsup_size_and_arrays(self, market_db):
+        result = sequential_apriori(market_db, "2/3")
+        minsup, size, levels = result.minsup, result.db_size, result.levels
+        copied = tuple((rows.copy(), supports.copy()) for rows, supports in levels)
+        assert result == MiningResult(minsup, size, copied)
+        # the same threshold, 2 of 3, and the same itemsets
+        assert result != sequential_apriori(market_db, "1/2")
+        assert result != MiningResult(minsup, size + 1, levels)
+        assert result != MiningResult(minsup, size, levels[:1])
+        assert result != MiningResult(minsup, size, (levels[0], (levels[1][0], levels[1][1] + 1)))
+        assert result != MiningResult(minsup, size, (levels[0], (levels[1][0][::-1], levels[1][1])))
+        assert result != result.frequent

@@ -59,7 +59,8 @@ def test_miners_equal_oracle(instance):
     }
     for name, result in results.items():
         assert result.frequent == oracle, name
-        # The itemsets are listed in (length, lex) order, which is the order
-        # ``sorted_items`` and the result JSON give them in.
+        assert result == results["sequential"], name
+        # The itemsets are listed in (length, lex) order: level by level, as
+        # ``levels`` holds them and the result JSON gives them.
         itemsets = list(result.frequent)
         assert itemsets == sorted(itemsets, key=lambda x: (len(x), x)), name

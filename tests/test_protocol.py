@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from bruteforce import enumerate_frequent
-from conftest import A, B, C, D, E, MARKET_FREQUENT, corpus_db, local_prune_checks
+from conftest import A, B, C, D, E, MARKET_FREQUENT, corpus_db, local_prune_checks, mine
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +19,6 @@ from distmine import (
     PartitionSpec,
     ProtocolError,
     partition,
-    run_improved,
     sequential_apriori,
 )
 from distmine.messages import _check_sorted, canonical_size
@@ -320,6 +319,15 @@ class TestMessages:
         assert msg != LocalReport(rows, supports + 1, site_id=1, k=2)
         assert hash(msg) == hash(report(site_id=1, k=2, entries=pairs(msg)))
 
+    @pytest.mark.parametrize("kind", MESSAGE_TYPES)
+    @pytest.mark.parametrize("n_rows", [0, 1, 2])
+    def test_rejects_level_zero(self, kind, n_rows):
+        # No actor sends a level-0 message; the level is checked first.
+        rows = np.empty((n_rows, 0), dtype=np.int64)
+        supports = None if kind is CountRequest else [3] * n_rows
+        with pytest.raises(ValueError, match="level is at least 1, got 0"):
+            kind(rows, supports, **dict(_HEADERS[kind], k=0))
+
     def test_array_constructor_wants_one_count_per_itemset(self):
         rows = np.array([(A, B), (A, C)], dtype=np.int64)
         with pytest.raises(ValueError, match="one count per itemset"):
@@ -564,13 +572,13 @@ class TestImprovedRun:
         oracle = sequential_apriori(market_db, "2/3")
         for n in (1, 2, 3):
             parts = partition(market_db, PartitionSpec(n_sites=n))
-            result, _ = run_improved(parts, "2/3")
+            result = ImprovedRun(parts, "2/3").run()
             assert result == oracle
             assert result.frequent == MARKET_FREQUENT
 
     def test_market_level1_frequent_set(self, market_db):
         parts = partition(market_db, PartitionSpec(n_sites=2))
-        result, _ = run_improved(parts, "2/3")
+        result = ImprovedRun(parts, "2/3").run()
         assert {x for x in result.frequent if len(x) == 1} == {
             (A,), (B,), (C,), (E,),
         }
@@ -663,7 +671,7 @@ class TestImprovedRun:
                     parts = partition(
                         db, PartitionSpec(n_sites=n, strategy=strategy, seed=seed)
                     )
-                    result, metrics = run_improved(parts, "0.3")
+                    result, metrics = mine(ImprovedRun(parts, "0.3"))
                     assert result == oracle, (seed, n, strategy)
                     assert all(m.messages_sent <= 4 * n for m in metrics)
 
