@@ -26,7 +26,8 @@ PARTITION_STRATEGIES = ("contiguous", "round-robin", "random")
 INT64_MAX = (1 << 63) - 1
 
 # Bytes each working buffer of a chunked kernel may hold: the generator's
-# draw, a block of the bit-matrix build and a chunk of ``LMatrix.count``.
+# draw, a block of the bit-matrix build, a chunk of ``LMatrix.count`` and
+# the FIMI parser's int64 line number of every character.
 CHUNK_BYTES = 1 << 18
 
 
@@ -166,7 +167,7 @@ class PartitionSpec:
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 _EMPTY.flags.writeable = False
-_FIMI_CHUNK = 1 << 14  # characters of FIMI text parsed at once
+_FIMI_CHUNK = CHUNK_BYTES // 8  # characters of FIMI text parsed at once
 # Bytes the array parser takes: tab, line feed, space and the digits.
 _SCREENED = np.zeros(256, dtype=bool)
 _SCREENED[[9, 10, 32, *range(ord("0"), ord("9") + 1)]] = True

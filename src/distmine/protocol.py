@@ -82,6 +82,15 @@ def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, first
 
 
+def _refuse(msg: LocalReport | CountResponse, bad: np.ndarray, what: str) -> None:
+    """Raise ProtocolError naming the site, the level and the first itemset
+    of ``msg`` that ``bad`` marks; ``{}`` in ``what`` takes its count."""
+    if bad.any():
+        i = int(bad.argmax())
+        x, count = tuple(msg.rows[i].tolist()), msg.supports[i]
+        raise ProtocolError(f"site {msg.site_id} {what.format(count)} {x!r} at level {msg.k}")
+
+
 class LocalSite:
     """Per-partition state machine: builds reports, answers count requests,
     and tracks which itemsets are heavy here (locally and globally frequent).
@@ -175,29 +184,19 @@ class AggregationOutcome(NamedTuple):
 
 
 class CenterSite:
-    """Combines local reports into global decisions for one level at a time.
-
-    A level's itemsets are int64 rows, as in the messages: the reports are
-    grouped by row with one sort, and every decision is a mask over the
-    groups."""
+    """Combines local reports into global decisions, numbering the levels
+    itself. An open level is its sorted rows and an (itemsets x sites) count
+    matrix, -1 where a count is not yet known, so a count is bounds-checked
+    before it is stored; every decision is a mask over the matrix."""
 
     def __init__(self, site_sizes: list[int], minsup: Fraction) -> None:
         self.n_sites = len(site_sizes)
+        self.site_sizes = np.array(site_sizes)
         self.total_size = sum(site_sizes)
         self.global_threshold = threshold(minsup, self.total_size)
-        self.site_thresholds = [threshold(minsup, d) for d in site_sizes]
-        self.level = 0
-        self._open(
-            np.empty((0, self.level), dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty((0, self.n_sites), dtype=bool),
-        )
-
-    def _open(self, rows: np.ndarray, totals: np.ndarray, awaiting: np.ndarray) -> None:
-        """This level's immediate and polled itemsets as sorted rows (and
-        their keys), their running totals, and the sites each still waits on."""
-        self._rows, self._keys = rows, row_keys(rows)
-        self._totals, self._awaiting = totals, awaiting
+        self.site_thresholds = np.array([threshold(minsup, d) for d in site_sizes])
+        self.level = 0  # the last level aggregated
+        self.open = self.stopped = False
 
     def aggregate(self, reports: list[LocalReport]) -> AggregationOutcome:
         """Process one report per site: decide fully reported itemsets on the
@@ -209,37 +208,40 @@ class CenterSite:
         threshold minus one; if even that optimistic total misses the global
         threshold the itemset is pruned, else the silent sites are polled.
         """
+        if self.open or self.stopped:
+            why = "is still open" if self.open else "stopped the run"
+            raise ProtocolError(f"reports after level {self.level}, which {why}")
         if sorted(r.site_id for r in reports) != list(range(self.n_sites)):
             raise ProtocolError("expected exactly one report per site")
-        levels = {r.k for r in reports}
-        if len(levels) != 1:
-            raise ProtocolError(f"reports span multiple levels: {sorted(levels)}")
-        self.level = k = levels.pop()
+        k = self.level + 1
+        if any(r.k != k for r in reports):
+            levels = sorted({r.k for r in reports})
+            raise ProtocolError(f"reports for levels {levels}, expected level {k}")
+        for r in reports:
+            low, high = self.site_thresholds[r.site_id], self.site_sizes[r.site_id]
+            bad = (r.supports < low) | (r.supports > high)
+            _refuse(r, bad, f"reported count {{}} outside [{low}, {high}] for itemset")
 
         reports = sorted(reports, key=lambda r: r.site_id)
         rows = np.concatenate([r.rows for r in reports])
         order, first = _runs(rows)
         site = np.repeat(np.arange(self.n_sites), [len(r.rows) for r in reports])
-        present = np.zeros((np.count_nonzero(first), self.n_sites), dtype=bool)
-        present[np.cumsum(first) - 1, site[order]] = True
-        supports = np.concatenate([r.supports for r in reports])[order]
-        reported = np.add.reduceat(supports, np.flatnonzero(first))
-        silent = ~present
-        max_count = reported + silent @ (np.array(self.site_thresholds) - 1)
+        supports = np.concatenate([r.supports for r in reports])
+        counts = np.full((np.count_nonzero(first), self.n_sites), -1, dtype=np.int64)
+        counts[np.cumsum(first) - 1, site[order]] = supports[order]
+        silent = counts < 0
+        max_count = np.where(silent, self.site_thresholds - 1, counts).sum(axis=1)
         kept = max_count >= self.global_threshold
         itemsets = rows[order[first]]
-        self._open(itemsets[kept], reported[kept], silent[kept])
+        self._rows, self._counts = itemsets[kept], counts[kept]
+        self.level, self.open = k, True
 
-        requests = {
-            i: CountRequest(self._rows[wanted], k=k)
-            for i, wanted in enumerate(self._awaiting.T)
-            if wanted.any()
-        }
-        polled = self._awaiting.any(axis=1)
-        return AggregationOutcome(self._rows[~polled], itemsets[~kept], requests)
+        polled = silent[kept]
+        requests = {i: CountRequest(self._rows[w], k=k) for i, w in enumerate(polled.T) if w.any()}
+        return AggregationOutcome(self._rows[~polled.any(axis=1)], itemsets[~kept], requests)
 
     def finalize(self, responses: list[CountResponse]) -> GlobalResult:
-        """Fold poll responses into totals and close the level.
+        """Write poll answers into their cells and close the level.
 
         The frequent itemsets are the totals that reach the global threshold,
         already in (length, lex) order; fully reported ones always do, since
@@ -247,37 +249,32 @@ class CenterSite:
         continues only if the level produced more frequent itemsets than its
         own size k (any (k+1)-itemset needs k+1 frequent k-subsets).
         """
+        if not self.open:
+            raise ProtocolError(f"no open level to finalize after level {self.level}")
+        keys, counts = row_keys(self._rows), self._counts
         for resp in responses:
-            if resp.k != self.level:
+            if resp.k != self.level or not 0 <= resp.site_id < self.n_sites:
                 raise ProtocolError(
-                    f"response for level {resp.k} during level {self.level}"
+                    f"site {resp.site_id} answered unrequested level {resp.k} itemsets"
                 )
-            at, asked = find_rows(self._keys, resp.rows)
-            if 0 <= resp.site_id < self.n_sites:
-                asked[asked] = self._awaiting[at[asked], resp.site_id]
-            else:
-                asked[:] = False
-            if not asked.all():
-                x = tuple(resp.rows[asked.argmin()].tolist())
-                raise ProtocolError(
-                    f"site {resp.site_id} answered unrequested itemset {x!r}"
-                )
-            self._awaiting[at, resp.site_id] = False
-            self._totals[at] += resp.supports
-        waiting = self._awaiting.any(axis=1)
+            at, asked = find_rows(keys, resp.rows)
+            asked[asked] = counts[at[asked], resp.site_id] < 0
+            _refuse(resp, ~asked, "answered unrequested itemset")
+            high = self.site_thresholds[resp.site_id] - 1
+            bad = (resp.supports < 0) | (resp.supports > high)
+            _refuse(resp, bad, f"answered count {{}} outside [0, {high}] for itemset")
+            counts[at, resp.site_id] = resp.supports
+        waiting = (counts < 0).any(axis=1)
         if waiting.any():
             still_waiting = list(map(tuple, self._rows[waiting].tolist()))
             raise ProtocolError(f"missing count responses for {still_waiting!r}")
 
-        frequent = self._totals >= self.global_threshold
-        result = GlobalResult(
-            self._rows[frequent],
-            self._totals[frequent],
-            k=self.level,
-            continue_flag=int(np.count_nonzero(frequent)) > self.level,
+        totals = counts.sum(axis=1)
+        frequent = totals >= self.global_threshold
+        self.open, self.stopped = False, int(np.count_nonzero(frequent)) <= self.level
+        return GlobalResult(
+            self._rows[frequent], totals[frequent], k=self.level, continue_flag=not self.stopped
         )
-        self._open(self._rows[:0], self._totals[:0], self._awaiting[:0])
-        return result
 
 
 class ImprovedRun:

@@ -477,6 +477,71 @@ class TestCenterSite:
         with pytest.raises(ProtocolError, match="levels"):
             market_center.aggregate(reports)
 
+    def test_first_reports_at_level_2_rejected(self):
+        center = CenterSite([10, 10], Fraction(1, 2))
+        reports = [report(site_id=i, k=2, entries=(((A, B), 9),)) for i in (0, 1)]
+        with pytest.raises(ProtocolError, match=r"levels \[2\], expected level 1"):
+            center.aggregate(reports)
+
+    @pytest.mark.parametrize(
+        "finalized, error", [(True, "expected level 2"), (False, "level 1, which is still open")]
+    )
+    def test_level_1_twice_rejected(self, finalized, error):
+        center = CenterSite([10, 10], Fraction(1, 2))
+        reports = [report(site_id=i, k=1, entries=(((A,), 5), ((B,), 5))) for i in (0, 1)]
+        center.aggregate(reports)
+        if finalized:
+            assert center.finalize([]).continue_flag
+        with pytest.raises(ProtocolError, match=error):
+            center.aggregate(reports)
+
+    def test_reports_after_the_last_level_rejected(self):
+        # L2 = {AB} alone clears continue_flag; AC and BC are not frequent,
+        # so no level-3 report may yield ABC
+        center = CenterSite([10, 10], Fraction(1, 2))
+        for k, itemsets in ((1, [(A,), (B,), (C,)]), (2, [(A, B)])):
+            entries = [(x, 5) for x in itemsets]
+            center.aggregate([report(site_id=i, k=k, entries=entries) for i in (0, 1)])
+            result = center.finalize([])
+        assert not result.continue_flag
+        reports = [report(site_id=i, k=3, entries=(((A, B, C), 5),)) for i in (0, 1)]
+        with pytest.raises(ProtocolError, match="after level 2, which stopped the run"):
+            center.aggregate(reports)
+
+    @pytest.mark.parametrize("aggregated", [False, True])
+    def test_finalize_without_an_open_level_rejected(self, market_center, aggregated):
+        # before any aggregate, and a second finalize of one level
+        if aggregated:
+            market_center.aggregate([report(site_id=i, k=1, entries=()) for i in (0, 1)])
+            market_center.finalize([])
+        error = f"no open level to finalize after level {int(aggregated)}"
+        with pytest.raises(ProtocolError, match=error):
+            market_center.finalize([])
+
+    @pytest.mark.parametrize("count", [99, 11, 4, 1, -7])
+    def test_report_count_outside_its_bounds_rejected(self, count):
+        # 10-row sites at minsup 1/2: a reported count lies in [5, 10]
+        center = CenterSite([10, 10], Fraction(1, 2))
+        reports = [
+            report(site_id=0, k=1, entries=(((A,), 5),)),
+            report(site_id=1, k=1, entries=(((A,), count),)),
+        ]
+        error = rf"site 1 reported count {count} outside \[5, 10\] for itemset \(1,\) at level 1"
+        with pytest.raises(ProtocolError, match=error):
+            center.aggregate(reports)
+
+    @pytest.mark.parametrize("count", [7, 5, -1])
+    def test_poll_answer_outside_its_bounds_rejected(self, count):
+        # A silent site's count is below its threshold 5: it lies in [0, 4]
+        center = CenterSite([10, 10], Fraction(1, 2))
+        center.aggregate(
+            [report(site_id=0, k=1, entries=(((A,), 9),)), report(site_id=1, k=1, entries=())]
+        )
+        answer = response(site_id=1, k=1, counts=(((A,), count),))
+        error = rf"site 1 answered count {count} outside \[0, 4\] for itemset \(1,\) at level 1"
+        with pytest.raises(ProtocolError, match=error):
+            center.finalize([answer])
+
     def test_unrequested_response_rejected(self, market_sites, market_center):
         reports = [s.build_report(1) for s in market_sites]
         market_center.aggregate(reports)
@@ -530,6 +595,12 @@ class TestCenterSite:
         rogue = response(site_id=site_id, k=1, counts=(((A,), 1),))
         with pytest.raises(ProtocolError, match=f"site {site_id} answered unrequested"):
             center.finalize([rogue])
+
+    @pytest.mark.parametrize("site_id", [2, -1])
+    def test_empty_response_from_an_unknown_site_rejected(self, market_center, site_id):
+        market_center.aggregate([report(site_id=i, k=1, entries=()) for i in (0, 1)])
+        with pytest.raises(ProtocolError, match=f"site {site_id} answered unrequested"):
+            market_center.finalize([response(site_id=site_id, k=1, counts=())])
 
     @pytest.mark.parametrize("itemset", [(D,), (0,), (40,), (-1,)])
     def test_response_outside_the_level_rejected(self, market_sites, market_center, itemset):
