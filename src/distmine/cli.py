@@ -230,6 +230,9 @@ def sweep(args: argparse.Namespace) -> int:
     minsups = args.sweep_minsups or ([args.minsup] if args.minsup else [])
     if not minsups:
         raise ConfigError("sweep mode needs --sweep-minsups or --minsup")
+    for flag in ("out", "trace", "labels"):
+        if getattr(args, flag) is not None:
+            raise ConfigError(f"sweep mode takes no --{flag}")
     n_transactions, *params = args.synthetic
     sizes = args.sweep_sizes or [n_transactions]
     full = generate_synthetic(max(sizes), *params)

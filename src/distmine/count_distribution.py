@@ -53,13 +53,11 @@ class CountDistributionRun:
     def _count_level(self, rows: np.ndarray) -> tuple[np.ndarray, int]:
         """Count the candidate rows at every site and send each site's count
         vector to every peer; returns the global counts and the n*|C|
-        entries sent."""
-        n = len(self.matrices)
-        vectors = [m.count(rows) for m in self.matrices]
-        for i in range(n):
-            report = LocalReport(rows, vectors[i], site_id=i, k=rows.shape[1])
-            for j in range(n):
-                if j != i:
-                    self.log.send(f"site:{i}", f"site:{j}", report)
-        return sum(vectors), n * len(rows)
-
+        entries sent. Site 0 sums its own vector and the ones delivered to
+        it; every inbox holds the same reports, so its sum stands for all."""
+        n, total = len(self.matrices), 0
+        for i, matrix in enumerate(self.matrices):
+            report = LocalReport(rows, matrix.count(rows), site_id=i, k=rows.shape[1])
+            got = {j: self.log.send(f"site:{i}", f"site:{j}", report) for j in range(n) if j != i}
+            total += got.get(0, report).supports
+        return total, n * len(rows)

@@ -253,7 +253,7 @@ def _parse_tokens(lines: Iterable[str], first_lineno: int) -> tuple[np.ndarray, 
     return np.array(lengths, dtype=np.int64), np.array(flat, dtype=np.int64)
 
 
-def load_fimi(source: str | IO[str] | Iterable[str]) -> TransactionDb:
+def load_fimi(source: str | IO[str]) -> TransactionDb:
     """Parse FIMI .dat text: one transaction per non-empty line.
 
     Items on a line are whitespace-separated runs of ASCII decimal digits,
@@ -263,33 +263,29 @@ def load_fimi(source: str | IO[str] | Iterable[str]) -> TransactionDb:
     item id seen (0 if empty). Text is parsed in chunks of whole lines
     straight into the CSR arrays while the chunks hold only ASCII digits,
     spaces, tabs and ``\n``; the rest of the text from the first chunk that
-    does not, or an iterable of lines, is parsed token by token.
+    does not is parsed token by token.
 
     Raises FimiFormatError naming the offending 1-based line number.
     """
     lengths, items = [_EMPTY], [_EMPTY]
     lineno = 1
-    if isinstance(source, str) or hasattr(source, "read"):
-        text = source if isinstance(source, str) else source.read()
-        # Chunks of whole lines go to the array parser while they pass its
-        # screen; there ``\n`` is the only line break, so the lines before
-        # the first chunk that fails are counted by ``\n``.
-        pos = 0
-        while pos < len(text):
-            cut = text.find("\n", pos + _FIMI_CHUNK)
-            end = len(text) if cut < 0 else cut + 1
-            parsed = _parse_digits(text[pos:end])
-            if parsed is None:
-                break
-            lengths.append(parsed[0])
-            items.append(parsed[1])
-            lineno += text.count("\n", pos, end)
-            pos = end
-        lines: Iterable[str] = text[pos:].splitlines()
-    else:
-        lines = source
+    text = source if isinstance(source, str) else source.read()
+    # Chunks of whole lines go to the array parser while they pass its
+    # screen; there ``\n`` is the only line break, so the lines before the
+    # first chunk that fails are counted by ``\n``.
+    pos = 0
+    while pos < len(text):
+        cut = text.find("\n", pos + _FIMI_CHUNK)
+        end = len(text) if cut < 0 else cut + 1
+        parsed = _parse_digits(text[pos:end])
+        if parsed is None:
+            break
+        lengths.append(parsed[0])
+        items.append(parsed[1])
+        lineno += text.count("\n", pos, end)
+        pos = end
     # What the array parser did not take goes token by token.
-    parsed = _parse_tokens(lines, lineno)
+    parsed = _parse_tokens(text[pos:].splitlines(), lineno)
     lengths.append(parsed[0])
     items.append(parsed[1])
     flat = np.concatenate(items)

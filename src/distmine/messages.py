@@ -1,8 +1,9 @@
 """Typed site/center messages, canonical payload sizing, and trace recording.
 
-Every exchange between actors is a self-contained, serializable value, so
-the in-process simulation could be replaced by real transport without
-touching the algorithms. A message is columnar: its level-k itemsets are the
+Every exchange between actors is a self-contained, serializable value, and
+every one goes through ``MessageLog.send``, which returns the message the
+receiver acts on; a real transport replaces that one method and leaves the
+algorithms untouched. A message is columnar: its level-k itemsets are the
 rows of a read-only (m, k) int64 array ``rows`` in strictly rising
 lexicographic order and, except in a CountRequest, their counts are the
 read-only int64 vector ``supports``. A message is built from those arrays
@@ -177,7 +178,9 @@ class MessageLog:
         self.payload_bytes = 0
         self.count_colocated = count_colocated
 
-    def send(self, src: str, dst: str, msg: ProtocolMessage) -> None:
+    def send(self, src: str, dst: str, msg: ProtocolMessage) -> ProtocolMessage:
+        """Record ``msg`` from ``src`` to ``dst`` and deliver it: the return
+        value is the message ``dst`` receives, in process ``msg`` itself."""
         size = canonical_size(msg)
         self.trace.append(
             TraceRecord(
@@ -190,7 +193,7 @@ class MessageLog:
                 bytes=size,
             )
         )
-        if not self.count_colocated and frozenset((src, dst)) == COLOCATED_PAIR:
-            return
-        self.messages_sent += 1
-        self.payload_bytes += size
+        if self.count_colocated or frozenset((src, dst)) != COLOCATED_PAIR:
+            self.messages_sent += 1
+            self.payload_bytes += size
+        return msg

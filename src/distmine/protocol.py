@@ -12,6 +12,7 @@ step loops over itemsets.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -241,7 +242,8 @@ class CenterSite:
         return AggregationOutcome(self._rows[~polled.any(axis=1)], itemsets[~kept], requests)
 
     def finalize(self, responses: list[CountResponse]) -> GlobalResult:
-        """Write poll answers into their cells and close the level.
+        """Write poll answers into their cells and close the level. Exactly
+        the polled sites answer, once each.
 
         The frequent itemsets are the totals that reach the global threshold,
         already in (length, lex) order; fully reported ones always do, since
@@ -252,8 +254,9 @@ class CenterSite:
         if not self.open:
             raise ProtocolError(f"no open level to finalize after level {self.level}")
         keys, counts = row_keys(self._rows), self._counts
+        polled, answered = set(np.flatnonzero((counts < 0).any(axis=0)).tolist()), set()
         for resp in responses:
-            if resp.k != self.level or not 0 <= resp.site_id < self.n_sites:
+            if resp.k != self.level or resp.site_id not in polled:
                 raise ProtocolError(
                     f"site {resp.site_id} answered unrequested level {resp.k} itemsets"
                 )
@@ -263,6 +266,9 @@ class CenterSite:
             high = self.site_thresholds[resp.site_id] - 1
             bad = (resp.supports < 0) | (resp.supports > high)
             _refuse(resp, bad, f"answered count {{}} outside [0, {high}] for itemset")
+            if resp.site_id in answered:
+                raise ProtocolError(f"site {resp.site_id} answered level {resp.k} twice")
+            answered.add(resp.site_id)
             counts[at, resp.site_id] = resp.supports
         waiting = (counts < 0).any(axis=1)
         if waiting.any():
@@ -315,36 +321,27 @@ class ImprovedRun:
         return self.result
 
     def _rounds(self):
-        """One protocol round per level, for ``mine_levels``: reports,
-        aggregation, polls, finalize and the result broadcast. Level 1
+        """One protocol round per level, for ``mine_levels``, in which each
+        receiver acts on the message ``MessageLog.send`` delivers. Level 1
         always runs; the rounds stop when the center clears ``continue_flag``."""
-        while True:
-            k = self.center.level + 1
-            reports = []
-            for site in self.sites:
-                rep = site.build_report(k)
-                self.log.send(f"site:{site.site_id}", "center", rep)
-                reports.append(rep)
+        send = self.log.send
+        for k in itertools.count(1):
+            reports = [send(f"site:{s.site_id}", "center", s.build_report(k)) for s in self.sites]
             candidates = np.concatenate([site.last_candidates for site in self.sites])
 
             _, pruned, requests = self.center.aggregate(reports)
             self.maxcount_pruned.append(pruned)
 
-            responses = []
-            for site_id in sorted(requests):
-                req = requests[site_id]
-                self.log.send("center", f"site:{site_id}", req)
-                resp = self.sites[site_id].handle_count_request(req)
-                self.log.send(f"site:{site_id}", "center", resp)
-                responses.append(resp)
-
+            responses = [
+                send(f"site:{i}", "center", self.sites[i].handle_count_request(
+                    send("center", f"site:{i}", requests[i])))
+                for i in sorted(requests)
+            ]
             outcome = self.center.finalize(responses)
             for site in self.sites:
-                self.log.send("center", f"site:{site.site_id}", outcome)
-                site.update_heavy(outcome)
+                site.update_heavy(send("center", f"site:{site.site_id}", outcome))
 
             distinct = int(np.count_nonzero(_runs(candidates)[1]))
             yield outcome.rows, outcome.supports, distinct, sum(len(r.rows) for r in reports)
             if not outcome.continue_flag:
                 return
-

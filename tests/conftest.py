@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from distmine import LocalSite, TransactionDb, generate_synthetic, load_fimi
+from distmine.messages import MessageLog
 from distmine.protocol import local_prune
 
 # The running supermarket example: transactions ABC / ABDE / ACE with items
@@ -81,3 +82,28 @@ def local_prune_checks():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(LocalSite, "build_report", checked)
         yield checks
+
+
+@contextmanager
+def delivering(mutate):
+    """While the block runs, ``MessageLog.send`` records each message as
+    before and delivers ``mutate(src, dst, msg)`` in its place, so a test can
+    see or change every message in flight."""
+    send = MessageLog.send
+
+    def delivered(log, src, dst, msg):
+        send(log, src, dst, msg)
+        return mutate(src, dst, msg)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MessageLog, "send", delivered)
+        yield
+
+
+def remade(msg, **changes):
+    """A message of ``msg``'s type with fresh copies of its arrays and the
+    fields named in ``changes`` replaced."""
+    fields = {name: getattr(msg, name) for name in msg._names()}
+    fields.update(changes)
+    rows, supports = np.array(fields.pop("rows")), fields.pop("supports", None)
+    return type(msg)(rows, None if supports is None else np.array(supports), **fields)

@@ -5,6 +5,7 @@ the traced benchmark run; this checks the bindings on a tiny input."""
 import importlib
 from pathlib import Path
 
+from conftest import delivering
 from test_cli import PINNED_RUN
 
 import distmine
@@ -48,14 +49,13 @@ def test_aggregate_counters_match_an_untraced_run(monkeypatch):
     parts = distmine.partition(db, distmine.PartitionSpec(5, "random", 7))
     run = distmine.ImprovedRun(parts, "0.05")
     sent = []
-    send = run.log.send
 
     def record(src, dst, msg):
         sent.append(msg)
-        send(src, dst, msg)
+        return msg
 
-    run.log.send = record
-    run.run()
+    with delivering(record):
+        run.run()
     requests = [m for m in sent if isinstance(m, distmine.CountRequest)]
     everywhere = 0  # itemsets every site reported, which need no poll
     for k in range(1, len(run.metrics) + 1):

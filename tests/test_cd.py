@@ -1,5 +1,5 @@
 import pytest
-from conftest import MARKET_FREQUENT, corpus_db, mine
+from conftest import MARKET_FREQUENT, D, corpus_db, delivering, mine, remade
 
 from distmine import (
     CountDistributionRun,
@@ -37,6 +37,20 @@ class TestCountDistribution:
         # level 1 candidates: one per item in the universe, at every site
         assert first.candidates_generated == market_db.universe
         assert first.llk_total == 2 * market_db.universe
+
+    def test_site_0_sums_the_reports_delivered_to_it(self, market_db):
+        # D is in one transaction of three, below the threshold of 2; one
+        # more count of D on its way from site 1 to site 0 makes it frequent
+        parts = partition(market_db, PartitionSpec(n_sites=3))
+
+        def add_d(src, dst, msg):
+            if (src, dst, msg.k) == ("site:1", "site:0", 1):
+                return remade(msg, supports=msg.supports + (msg.rows[:, 0] == D))
+            return msg
+
+        with delivering(add_d):
+            result = CountDistributionRun(parts, "2/3").run()
+        assert result.frequent[(D,)] == 2
 
     def test_trace_actors_are_sites_only(self, market_db):
         parts = partition(market_db, PartitionSpec(n_sites=3))

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import os
@@ -5,8 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
-from conftest import MARKET_FIMI
+from conftest import MARKET_FIMI, delivering, remade
 
 import distmine
 from distmine.cli import main
@@ -203,6 +205,37 @@ class TestRun:
         assert status == 0
         data = b"".join(p.read_bytes() for p in paths)
         assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "extra", [("--algorithm", "improved"), ("--algorithm", "cd"),
+                  ("--algorithm", "improved", "--count-colocated-messages", "false")],
+    )  # fmt: skip
+    def test_delivered_copies_change_no_output_byte(self, extra, tmp_path):
+        # Receivers that act on equal copies with fresh arrays write the
+        # same result JSON, metrics CSV and trace as receivers of the sent
+        # objects.
+        copies = []
+
+        def copy(src, dst, msg):
+            delivered = remade(msg)
+            assert delivered == msg
+            fields = ("rows", "supports") if msg.COUNTED else ("rows",)
+            assert not any(np.shares_memory(getattr(delivered, f), getattr(msg, f)) for f in fields)
+            copies.append(delivered)
+            return delivered
+
+        outputs = []
+        for hook in (contextlib.nullcontext(), delivering(copy)):
+            paths = [tmp_path / f"{len(outputs)}{name}" for name in ("r.json", "m.csv", "t.jsonl")]
+            with hook:
+                status = run_cli(
+                    *PINNED_RUN, *extra,
+                    "--out", paths[0], "--metrics", paths[1], "--trace", paths[2],
+                )  # fmt: skip
+            assert status == 0
+            outputs.append(b"".join(p.read_bytes() for p in paths))
+        assert outputs[0] == outputs[1]
+        assert len(copies) == len(paths[2].read_text().splitlines()) > 0
 
     @pytest.mark.parametrize("algorithm", ["improved", "cd", "sequential"])
     def test_runs_without_the_tuple_view(self, algorithm, market_file, monkeypatch, capsys):
@@ -520,6 +553,17 @@ class TestSweep:
         assert hashlib.sha256(cut.encode()).hexdigest() == (
             "27b72cdf5eaf43ac2acc66f2311b8dae254ad58ca0eb99fa3e526c8b10dea680"
         )
+
+    @pytest.mark.parametrize("flag", ["--out", "--trace", "--labels"])
+    def test_sweep_rejects_run_only_flags(self, flag, tmp_path, capsys):
+        path = tmp_path / "nonexistent"
+        status = run_cli(
+            "--synthetic", "T=3,I=10,D=200,seed=1", "--sites", "2",
+            "--algorithm", "improved", "--sweep-minsups", "0.2", flag, path,
+        )  # fmt: skip
+        assert status == 2
+        assert f"config error: sweep mode takes no {flag}" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_sweep_rejects_negative_size(self, tmp_path):
         status = run_cli(

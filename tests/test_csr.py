@@ -64,27 +64,17 @@ def fimi_texts(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(fimi_texts(), st.sampled_from([1, 2, 7, 1 << 14]))
 def test_load_fimi_matches_reference(text, chunk):
-    # Small chunks put their bounds inside the drawn texts. The text is
-    # parsed whole and as a list of lines, which skips the chunks.
-    for source in (text, text.splitlines()):
-        with mock.patch.object(dataset, "_FIMI_CHUNK", chunk):
-            try:
-                expected = parse_fimi(text)
-            except ValueError as err:
-                with pytest.raises(FimiFormatError, match=re.escape(str(err))):
-                    load_fimi(source)
-                continue
-            db = load_fimi(source)
-        assert (db.transactions, db.universe) == expected
-        assert db == TransactionDb(*expected)
-
-
-def test_load_fimi_takes_lines_with_breaks():
-    # An iterable of lines may keep their line breaks; numbering follows it.
-    assert load_fimi(["1 2\n", "\n", "2 1 2\n"]).transactions == ((1, 2), (1, 2))
-    assert load_fimi(["1 2\n3", "4"]).transactions == ((1, 2, 3), (4,))
-    with pytest.raises(FimiFormatError, match="line 3"):
-        load_fimi(["1 2\n", "\n", "2 x\n"])
+    # Small chunks put their bounds inside the drawn texts.
+    with mock.patch.object(dataset, "_FIMI_CHUNK", chunk):
+        try:
+            expected = parse_fimi(text)
+        except ValueError as err:
+            with pytest.raises(FimiFormatError, match=re.escape(str(err))):
+                load_fimi(text)
+            return
+        db = load_fimi(text)
+    assert (db.transactions, db.universe) == expected
+    assert db == TransactionDb(*expected)
 
 
 def random_db(rng, n_rows, n_items):

@@ -4,7 +4,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from bruteforce import enumerate_frequent
-from conftest import A, B, C, D, E, MARKET_FREQUENT, corpus_db, local_prune_checks, mine
+from conftest import (
+    A,
+    B,
+    C,
+    D,
+    E,
+    MARKET_FREQUENT,
+    corpus_db,
+    delivering,
+    local_prune_checks,
+    mine,
+    remade,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -631,11 +643,66 @@ class TestCenterSite:
         with pytest.raises(ProtocolError, match=r"missing count responses for \[\(5,\)\]"):
             market_center.finalize(answered)
 
+    def test_response_from_a_site_with_nothing_to_fill_rejected(self):
+        # site 0 reports A = 9 and site 1 nothing, so only site 1 is polled;
+        # taking every answer here would give A a count of 12
+        center = CenterSite([10, 10], Fraction(1, 2))
+        center.aggregate(
+            [report(site_id=0, k=1, entries=(((A,), 9),)), report(site_id=1, k=1, entries=())]
+        )
+        answers = [
+            response(site_id=0, k=1, counts=()),
+            response(site_id=0, k=1, counts=()),
+            response(site_id=1, k=1, counts=(((A,), 3),)),
+            response(site_id=1, k=1, counts=()),
+        ]
+        with pytest.raises(ProtocolError, match="site 0 answered unrequested level 1 itemsets"):
+            center.finalize(answers)
+
+    def test_second_response_from_a_polled_site_rejected(self):
+        center = CenterSite([10, 10], Fraction(1, 2))
+        center.aggregate(
+            [report(site_id=0, k=1, entries=(((A,), 9),)), report(site_id=1, k=1, entries=())]
+        )
+        answers = [response(site_id=1, k=1, counts=(((A,), 3),)), response(site_id=1, k=1, counts=())]
+        with pytest.raises(ProtocolError, match="site 1 answered level 1 twice"):
+            center.finalize(answers)
+
     def test_wrong_level_response_rejected(self, market_sites, market_center):
         reports = [s.build_report(1) for s in market_sites]
         market_center.aggregate(reports)
         with pytest.raises(ProtocolError, match="level"):
             market_center.finalize([response(site_id=0, k=3, counts=())])
+
+
+class TestDelivery:
+    """Each receiver acts on the message that ``MessageLog.send`` delivers,
+    not on the object its sender passed in."""
+
+    def test_center_checks_the_delivered_report(self, market_db):
+        # site 1 holds ACE alone, so its level-1 counts lie in [1, 1]
+        parts = partition(market_db, PartitionSpec(n_sites=2))
+
+        def inflate(src, dst, msg):
+            if src == "site:1" and isinstance(msg, LocalReport) and msg.k == 1:
+                return remade(msg, supports=msg.supports + 9)
+            return msg
+
+        error = r"site 1 reported count 10 outside \[1, 1\] for itemset \(1,\) at level 1"
+        with delivering(inflate), pytest.raises(ProtocolError, match=error):
+            ImprovedRun(parts, "2/3").run()
+
+    def test_site_checks_the_delivered_request(self, market_db):
+        parts = partition(market_db, PartitionSpec(n_sites=2))
+
+        def relevel(src, dst, msg):
+            if isinstance(msg, CountRequest):
+                return remade(msg, rows=np.empty((0, msg.k + 1), dtype=np.int64), k=msg.k + 1)
+            return msg
+
+        error = "site 0: count request for level 2 during level 1"
+        with delivering(relevel), pytest.raises(ProtocolError, match=error):
+            ImprovedRun(parts, "2/3").run()
 
 
 class TestImprovedRun:
