@@ -1,15 +1,20 @@
-"""Typed site/center messages, canonical payload sizing, and trace recording.
+"""Typed site/center messages, their canonical encoding, and trace recording.
 
 Every exchange between actors is a self-contained, serializable value, and
 every one goes through ``MessageLog.send``, which returns the message the
 receiver acts on; a real transport replaces that one method and leaves the
-algorithms untouched. A message is columnar: its level-k itemsets are the
-rows of a read-only (m, k) int64 array ``rows`` in strictly rising
-lexicographic order and, except in a CountRequest, their counts are the
-read-only int64 vector ``supports``. A message is built from those arrays
-and its header fields, as in ``LocalReport(rows, supports, site_id=0, k=2)``.
-Payload bytes follow a fixed canonical encoding (8 bytes per header field, 4
-per item id, 8 per count) so byte metrics are implementation-independent.
+algorithms untouched. A message is columnar and is about m level-k itemsets.
+A LocalReport or GlobalResult carries them as the rows of a read-only (m, k)
+int64 array ``rows`` in strictly rising lexicographic order, with their
+counts as the read-only int64 vector ``supports``; a CountRequest carries
+the rows alone; a CountResponse carries the counts alone, in the order of
+the request it answers, since the center already holds those rows. A message
+is built from its arrays and its header fields, as in
+``LocalReport(rows, supports, site_id=0, k=2)`` or
+``CountResponse(supports, site_id=0, k=2)``. ``encode`` writes a message in
+the canonical encoding (8 bytes per header field, 4 per item id, 8 per
+count) and ``decode`` reads it back, so byte metrics are real, measured
+bytes and implementation-independent.
 """
 
 from __future__ import annotations
@@ -25,11 +30,9 @@ from .dataset import Itemset
 
 
 def _check_sorted(rows: np.ndarray, k: int) -> None:
-    """A message's level k is at least 1, every itemset of a level-k message
-    has k items, and the rows are in strictly rising lexicographic order;
-    with one length, that is the (length, lex) order."""
-    if k < 1:
-        raise ValueError(f"a message's level is at least 1, got {k}")
+    """Every itemset of a level-k message has k items, and the rows are in
+    strictly rising lexicographic order; with one length, that is the
+    (length, lex) order."""
     if rows.ndim != 2 or rows.shape[1] != k:
         raise ValueError(f"a level-{k} message carries only {k}-itemsets")
     # A row follows its neighbour iff it is greater in the first column where
@@ -47,31 +50,37 @@ def read_only(a: np.ndarray) -> np.ndarray:
 
 class _Columnar:
     """The body every message shares: the header fields named in ``HEADER``
-    (``k`` among them), ``rows`` and, if ``COUNTED``, ``supports``.
-    Messages are immutable and compare by value."""
+    (``k`` among them) and the arrays named in ``BODY``, ``rows``,
+    ``supports`` or both. Messages are immutable and compare by value."""
 
     HEADER: tuple[str, ...]
-    COUNTED = True
+    BODY = ("rows", "supports")
 
-    def __init__(self, rows, supports=None, **header) -> None:
-        """The message with the ``HEADER`` fields given by keyword, its
-        itemsets as the rows of ``rows`` and, unless it is a CountRequest,
-        their counts ``supports``. The arrays are not copied: the message
+    def __init__(self, *body, **header) -> None:
+        """The message with the ``HEADER`` fields given by keyword and the
+        ``BODY`` arrays in order. The arrays are not copied: the message
         holds read-only views of them."""
-        if sorted(header) != sorted(self.HEADER) or (supports is None) == self.COUNTED:
+        if sorted(header) != sorted(self.HEADER) or len(body) != len(self.BODY):
             raise TypeError(f"{type(self).__name__} has the fields {self._names()}")
-        rows = np.asarray(rows, dtype=np.int64)
-        _check_sorted(rows, header["k"])
-        fields = dict(header, rows=read_only(rows))
-        if self.COUNTED:
-            supports = np.asarray(supports, dtype=np.int64)
-            if supports.shape != (len(rows),):
+        k = header["k"]
+        if k < 1:
+            raise ValueError(f"a message's level is at least 1, got {k}")
+        fields = dict(zip(self.BODY, (np.asarray(a, dtype=np.int64) for a in body)))
+        if "rows" in fields:
+            _check_sorted(fields["rows"], k)
+        if "supports" in fields:
+            m = len(fields.get("rows", fields["supports"]))
+            if fields["supports"].shape != (m,):
                 raise ValueError("a message carries one count per itemset")
-            fields["supports"] = read_only(supports)
-        self.__dict__.update(fields)
+        self.__dict__.update(header, **{f: read_only(a) for f, a in fields.items()})
+
+    @property
+    def n_itemsets(self) -> int:
+        """The number of itemsets the message is about."""
+        return len(getattr(self, self.BODY[0]))
 
     def _names(self) -> tuple[str, ...]:
-        return self.HEADER + (("rows", "supports") if self.COUNTED else ("rows",))
+        return self.HEADER + self.BODY
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, f) for f in self._names())
@@ -89,7 +98,7 @@ class _Columnar:
 
     def __repr__(self) -> str:
         header = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.HEADER)
-        return f"{type(self).__name__}({header}, itemsets={len(self.rows)})"
+        return f"{type(self).__name__}({header}, itemsets={self.n_itemsets})"
 
 
 class LocalReport(_Columnar):
@@ -102,7 +111,7 @@ class CountRequest(_Columnar):
     """Center asks a site for the local counts of the given itemsets."""
 
     HEADER = ("k",)
-    COUNTED = False
+    BODY = ("rows",)
 
     @functools.cached_property
     def itemsets(self) -> tuple[Itemset, ...]:
@@ -111,9 +120,11 @@ class CountRequest(_Columnar):
 
 
 class CountResponse(_Columnar):
-    """A site's answer to a CountRequest, itemset for itemset."""
+    """A site's answer to a CountRequest: one count per requested itemset,
+    in the request's order."""
 
     HEADER = ("site_id", "k")
+    BODY = ("supports",)
 
 
 class GlobalResult(_Columnar):
@@ -126,11 +137,55 @@ class GlobalResult(_Columnar):
 ProtocolMessage = Union[LocalReport, CountRequest, CountResponse, GlobalResult]
 
 
+def _item_bytes(cls: type, k: int) -> int:
+    """Bytes one itemset takes in a level-k message of type ``cls``: its k
+    item ids, if the type carries rows, and its count, if it carries counts."""
+    return 4 * k * ("rows" in cls.BODY) + 8 * ("supports" in cls.BODY)
+
+
 def canonical_size(msg: ProtocolMessage) -> int:
-    """Canonical payload size in bytes: the header, then k item ids per
-    itemset and, except in a CountRequest, one count."""
-    per_itemset = 4 * msg.k + 8 * msg.COUNTED
-    return 8 * len(msg.HEADER) + per_itemset * len(msg.rows)
+    """Canonical payload size in bytes: 8 per header field, then 4 per item
+    id and 8 per count the message carries; ``len(encode(msg))``."""
+    return 8 * len(msg.HEADER) + _item_bytes(type(msg), msg.k) * msg.n_itemsets
+
+
+def encode(msg: ProtocolMessage) -> bytes:
+    """The canonical encoding of ``msg``: its header fields as little-endian
+    int64, then its item ids as little-endian uint32, row by row, then its
+    counts as little-endian int64. An id outside [0, 2**32) raises
+    ValueError."""
+    parts = [np.array([getattr(msg, f) for f in msg.HEADER], dtype="<i8")]
+    if "rows" in msg.BODY:
+        rows = msg.rows
+        if rows.size and (rows.min() < 0 or rows.max() >= 1 << 32):
+            raise ValueError("item ids outside [0, 2**32) have no canonical encoding")
+        parts.append(rows.astype("<u4"))
+    if "supports" in msg.BODY:
+        parts.append(msg.supports.astype("<i8"))
+    return b"".join(part.tobytes() for part in parts)
+
+
+def decode(cls: type, data: bytes) -> ProtocolMessage:
+    """The message of type ``cls`` that ``encode`` wrote as ``data``; data
+    of a length that holds no whole number of itemsets raises ValueError."""
+    head, partial = 8 * len(cls.HEADER), ValueError(f"{len(data)} bytes hold no {cls.__name__}")
+    if len(data) < head:
+        raise partial
+    header = dict(zip(cls.HEADER, np.frombuffer(data, dtype="<i8", count=len(cls.HEADER)).tolist()))
+    if "continue_flag" in header:
+        header["continue_flag"] = bool(header["continue_flag"])
+    k = header["k"]
+    if k < 1 or (len(data) - head) % _item_bytes(cls, k):
+        raise partial
+    m = (len(data) - head) // _item_bytes(cls, k)
+    body, offset = [], head
+    if "rows" in cls.BODY:
+        ids = np.frombuffer(data, dtype="<u4", count=m * k, offset=offset)
+        body.append(ids.astype(np.int64).reshape(m, k))
+        offset += 4 * m * k
+    if "supports" in cls.BODY:
+        body.append(np.frombuffer(data, dtype="<i8", count=m, offset=offset).astype(np.int64))
+    return cls(*body, **header)
 
 
 @dataclass(frozen=True)
@@ -189,7 +244,7 @@ class MessageLog:
                 dst=dst,
                 k=msg.k,
                 type=type(msg).__name__,
-                items=len(msg.rows),
+                items=msg.n_itemsets,
                 bytes=size,
             )
         )

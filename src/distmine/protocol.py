@@ -5,9 +5,10 @@ frequent candidates; the center combines reports, bounds the global count
 of partially reported itemsets, polls the silent sites for survivors, and
 broadcasts each level's globally frequent itemsets. Message traffic per
 level stays within 4n for n sites: n reports, at most n batched count
-requests, their responses, and n result broadcasts. Sites and center hold a
-level's itemsets as int64 row arrays, as the messages carry them, so no
-step loops over itemsets.
+requests, their responses, and n result broadcasts. A response carries
+only counts, in the order of its request: the center already holds the
+rows it asked for. Sites and center hold a level's itemsets as int64 row
+arrays, as the messages carry them, so no step loops over itemsets.
 """
 
 from __future__ import annotations
@@ -83,12 +84,13 @@ def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, first
 
 
-def _refuse(msg: LocalReport | CountResponse, bad: np.ndarray, what: str) -> None:
-    """Raise ProtocolError naming the site, the level and the first itemset
-    of ``msg`` that ``bad`` marks; ``{}`` in ``what`` takes its count."""
+def _refuse(msg: LocalReport | CountResponse, rows: np.ndarray, bad: np.ndarray, what: str) -> None:
+    """Raise ProtocolError naming the site, the level and the first of the
+    itemsets ``rows`` that ``bad`` marks; ``msg`` carries their counts, one
+    per row, and ``{}`` in ``what`` takes the marked one."""
     if bad.any():
         i = int(bad.argmax())
-        x, count = tuple(msg.rows[i].tolist()), msg.supports[i]
+        x, count = tuple(rows[i].tolist()), msg.supports[i]
         raise ProtocolError(f"site {msg.site_id} {what.format(count)} {x!r} at level {msg.k}")
 
 
@@ -143,16 +145,15 @@ class LocalSite:
             )
 
     def handle_count_request(self, req: CountRequest) -> CountResponse:
-        """Answer exact local counts from the matrix (no raw rescan). A level
-        a GlobalResult has closed takes no more requests."""
+        """Answer exact local counts from the matrix (no raw rescan), one per
+        requested itemset in the request's order. A level a GlobalResult has
+        closed takes no more requests."""
         self._check_level("count request", req.k)
         if self.closed:
             raise ProtocolError(
                 f"site {self.site_id}: count request for closed level {req.k}"
             )
-        return CountResponse(
-            req.rows, self.matrix.count(req.rows), site_id=self.site_id, k=req.k
-        )
+        return CountResponse(self.matrix.count(req.rows), site_id=self.site_id, k=req.k)
 
     def update_heavy(self, result: GlobalResult) -> None:
         """Heavy here = globally frequent and reported by this site.
@@ -188,7 +189,11 @@ class CenterSite:
     """Combines local reports into global decisions, numbering the levels
     itself. An open level is its sorted rows and an (itemsets x sites) count
     matrix, -1 where a count is not yet known, so a count is bounds-checked
-    before it is stored; every decision is a mask over the matrix."""
+    before it is stored; every decision is a mask over the matrix. The
+    cells of site i still at -1 are the rows requested from site i, in order,
+    so its answer, counts only, fills them by position. ``frequent`` holds
+    the rows of the last GlobalResult, which every (k-1)-subset of a level-k
+    report must be among."""
 
     def __init__(self, site_sizes: list[int], minsup: Fraction) -> None:
         self.n_sites = len(site_sizes)
@@ -198,6 +203,7 @@ class CenterSite:
         self.site_thresholds = np.array([threshold(minsup, d) for d in site_sizes])
         self.level = 0  # the last level aggregated
         self.open = self.stopped = False
+        self.frequent = np.empty((0, 0), dtype=np.int64)  # no result yet
 
     def aggregate(self, reports: list[LocalReport]) -> AggregationOutcome:
         """Process one report per site: decide fully reported itemsets on the
@@ -221,7 +227,15 @@ class CenterSite:
         for r in reports:
             low, high = self.site_thresholds[r.site_id], self.site_sizes[r.site_id]
             bad = (r.supports < low) | (r.supports > high)
-            _refuse(r, bad, f"reported count {{}} outside [{low}, {high}] for itemset")
+            _refuse(r, r.rows, bad, f"reported count {{}} outside [{low}, {high}] for itemset")
+        if k > 1:
+            # A site's level-k candidates join its heavy (k-1)-itemsets, all
+            # of them in the last result, so each of their (k-1)-subsets is.
+            known = row_keys(self.frequent)
+            for r, j in itertools.product(reports, range(k)):
+                bad = ~find_rows(known, np.delete(r.rows, j, axis=1))[1]
+                what = f"reported a subset outside level {k - 1}'s result in itemset"
+                _refuse(r, r.rows, bad, what)
 
         reports = sorted(reports, key=lambda r: r.site_id)
         rows = np.concatenate([r.rows for r in reports])
@@ -243,7 +257,8 @@ class CenterSite:
 
     def finalize(self, responses: list[CountResponse]) -> GlobalResult:
         """Write poll answers into their cells and close the level. Exactly
-        the polled sites answer, once each.
+        the polled sites answer, once each, with one count per requested
+        itemset.
 
         The frequent itemsets are the totals that reach the global threshold,
         already in (length, lex) order; fully reported ones always do, since
@@ -253,23 +268,25 @@ class CenterSite:
         """
         if not self.open:
             raise ProtocolError(f"no open level to finalize after level {self.level}")
-        keys, counts = row_keys(self._rows), self._counts
-        polled, answered = set(np.flatnonzero((counts < 0).any(axis=0)).tolist()), set()
+        counts, k = self._counts, self.level
+        asked, answered = counts < 0, set()
         for resp in responses:
-            if resp.k != self.level or resp.site_id not in polled:
+            i = resp.site_id
+            if resp.k != k or not (0 <= i < self.n_sites and asked[:, i].any()):
+                raise ProtocolError(f"site {i} answered unrequested level {resp.k} itemsets")
+            if i in answered:
+                raise ProtocolError(f"site {i} answered level {k} twice")
+            answered.add(i)
+            at = np.flatnonzero(asked[:, i])
+            if resp.n_itemsets != len(at):
                 raise ProtocolError(
-                    f"site {resp.site_id} answered unrequested level {resp.k} itemsets"
+                    f"site {i} answered {resp.n_itemsets} counts at level {k}, asked for {len(at)}"
                 )
-            at, asked = find_rows(keys, resp.rows)
-            asked[asked] = counts[at[asked], resp.site_id] < 0
-            _refuse(resp, ~asked, "answered unrequested itemset")
-            high = self.site_thresholds[resp.site_id] - 1
+            high = self.site_thresholds[i] - 1
             bad = (resp.supports < 0) | (resp.supports > high)
-            _refuse(resp, bad, f"answered count {{}} outside [0, {high}] for itemset")
-            if resp.site_id in answered:
-                raise ProtocolError(f"site {resp.site_id} answered level {resp.k} twice")
-            answered.add(resp.site_id)
-            counts[at, resp.site_id] = resp.supports
+            what = f"answered count {{}} outside [0, {high}] for itemset"
+            _refuse(resp, self._rows[at], bad, what)
+            counts[at, i] = resp.supports
         waiting = (counts < 0).any(axis=1)
         if waiting.any():
             still_waiting = list(map(tuple, self._rows[waiting].tolist()))
@@ -277,10 +294,9 @@ class CenterSite:
 
         totals = counts.sum(axis=1)
         frequent = totals >= self.global_threshold
-        self.open, self.stopped = False, int(np.count_nonzero(frequent)) <= self.level
-        return GlobalResult(
-            self._rows[frequent], totals[frequent], k=self.level, continue_flag=not self.stopped
-        )
+        self.frequent = self._rows[frequent]
+        self.open, self.stopped = False, int(np.count_nonzero(frequent)) <= k
+        return GlobalResult(self.frequent, totals[frequent], k=k, continue_flag=not self.stopped)
 
 
 class ImprovedRun:

@@ -105,5 +105,5 @@ def remade(msg, **changes):
     fields named in ``changes`` replaced."""
     fields = {name: getattr(msg, name) for name in msg._names()}
     fields.update(changes)
-    rows, supports = np.array(fields.pop("rows")), fields.pop("supports", None)
-    return type(msg)(rows, None if supports is None else np.array(supports), **fields)
+    body = [np.array(fields.pop(name)) for name in msg.BODY]
+    return type(msg)(*body, **fields)

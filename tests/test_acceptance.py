@@ -3,7 +3,8 @@
 Eight criteria, one test each; every test prints its own PASS/FAIL line
 (run with ``pytest -s`` to see them). Criteria 2-6 share one corpus of 50
 seeded random databases swept over minsup x site-count x partition
-strategy, checked against an exhaustive-enumeration oracle.
+strategy, checked against an exhaustive-enumeration oracle. A last test
+encodes and decodes every message of the corpus's improved runs.
 """
 
 import time
@@ -13,7 +14,7 @@ from itertools import combinations, islice
 
 import pytest
 from bruteforce import enumerate_frequent
-from conftest import MARKET_FIMI, corpus_db, local_prune_checks
+from conftest import MARKET_FIMI, corpus_db, delivering, local_prune_checks
 
 from distmine import (
     CountDistributionRun,
@@ -27,6 +28,7 @@ from distmine import (
     sequential_apriori,
 )
 from distmine.cli import main as cli_main
+from distmine.messages import canonical_size, decode, encode
 
 MINSUPS = ("0.2", "0.4", "0.6")
 SITE_COUNTS = (1, 2, 3, 4)
@@ -62,7 +64,13 @@ class InstanceRecord:
 @dataclass
 class Corpus:
     records: list = field(default_factory=list)
+    # every message the improved runs delivered
+    improved_messages: list = field(default_factory=list)
     elapsed_s: float = 0.0
+
+    def delivered(self, src, dst, msg):
+        self.improved_messages.append(msg)
+        return msg
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +89,7 @@ def corpus() -> Corpus:
                         db, PartitionSpec(n_sites=n, strategy=strategy, seed=seed)
                     )
                     improved = ImprovedRun(parts, minsup)
-                    with local_prune_checks() as checks:
+                    with local_prune_checks() as checks, delivering(corpus.delivered):
                         improved.run()
                     cd = CountDistributionRun(parts, minsup)
                     cd.run()
@@ -250,3 +258,13 @@ def test_criterion_8_byte_identical_reruns(tmp_path):
         assert outputs[0][0] == outputs[1][0]
         assert outputs[0][1] == outputs[1][1]
         assert outputs[0][2] == outputs[1][2]
+
+
+def test_canonical_encoding_is_real(corpus):
+    # The bytes the metrics count are the bytes encode writes, and decode
+    # gives back every message the corpus's improved runs delivered.
+    assert len(corpus.improved_messages) > len(corpus.records)
+    for msg in corpus.improved_messages:
+        data = encode(msg)
+        assert len(data) == canonical_size(msg), msg
+        assert decode(type(msg), data) == msg, msg

@@ -11,7 +11,8 @@ import pytest
 from conftest import MARKET_FIMI, delivering, remade
 
 import distmine
-from distmine.cli import main
+from distmine import CountRequest, CountResponse, ProtocolError
+from distmine.cli import _build_parser, _check_args, main
 
 MARKET_LABELS = '{"1":"Coffee","2":"Tea","3":"Milk","5":"Butter"}'
 
@@ -190,7 +191,7 @@ class TestRun:
     @pytest.mark.parametrize(
         "algorithm, digest",
         [
-            ("improved", "bd940360ac72548886d8dd62d68c40d8688551e56d342ff8ceb770c368cca28c"),
+            ("improved", "e56a9f907d7db3836522bac9754c2a48798952d447a35502d4885e37d8dd872a"),
             ("cd", "f376e37aeb5a0ecb36ab1440aae07d9bedc96cc55f8711fa5ea7a384434a53d8"),
             ("sequential", "b23be5ddd040878e227daedd3b413d5660d2d8f612a260f99db9d1e347abee32"),
         ],
@@ -219,8 +220,8 @@ class TestRun:
         def copy(src, dst, msg):
             delivered = remade(msg)
             assert delivered == msg
-            fields = ("rows", "supports") if msg.COUNTED else ("rows",)
-            assert not any(np.shares_memory(getattr(delivered, f), getattr(msg, f)) for f in fields)
+            shared = [np.shares_memory(getattr(delivered, f), getattr(msg, f)) for f in msg.BODY]
+            assert not any(shared)
             copies.append(delivered)
             return delivered
 
@@ -303,6 +304,92 @@ class TestRun:
         run.run()
         polls = sum(rec.type == "CountRequest" for rec in run.log.trace)
         assert (polls, sum(map(len, run.maxcount_pruned))) == (13, 60)
+
+
+def pinned_improved_run() -> distmine.ImprovedRun:
+    """The improved run that ``main`` builds for PINNED_RUN, not yet run."""
+    args = _build_parser().parse_args([*PINNED_RUN, "--algorithm", "improved"])
+    _check_args(args)
+    db = distmine.generate_synthetic(*args.synthetic)
+    parts = distmine.partition(db, distmine.PartitionSpec(args.sites, *args.partition))
+    return distmine.ImprovedRun(parts, args.minsup)
+
+
+class TestMutatedPollAnswers:
+    """Poll-answer entries of the mutation catalogue: each changes one
+    CountResponse of PINNED_RUN's improved run on its way to the center,
+    which must refuse it. Level 1 polls sites 2 and 3, one itemset each;
+    level 2 polls every site, site 0 first, for 11 itemsets."""
+
+    @staticmethod
+    def refusal(change, nth):
+        """The ProtocolError text when the run's nth CountResponse (from 0)
+        is replaced in flight by ``change(resp, run, earlier)``, where
+        ``earlier`` holds the responses before it; also that response and
+        every (site id, CountRequest) delivered until the error."""
+        run, requests, responses = pinned_improved_run(), [], []
+
+        def mutate(src, dst, msg):
+            if isinstance(msg, CountRequest):
+                requests.append((int(dst.removeprefix("site:")), msg))
+            elif isinstance(msg, CountResponse):
+                responses.append(msg)
+                if len(responses) == nth + 1:
+                    return change(msg, run, responses[:-1])
+            return msg
+
+        with delivering(mutate), pytest.raises(ProtocolError) as refused:
+            run.run()
+        return str(refused.value), responses[nth], requests
+
+    def test_dropped_count(self):
+        def drop(resp, run, _):
+            return remade(resp, supports=resp.supports[:-1])
+
+        error, resp, _ = self.refusal(drop, 2)
+        m = resp.n_itemsets
+        assert (resp.k, m) == (2, 11)
+        assert error == f"site {resp.site_id} answered {m - 1} counts at level 2, asked for {m}"
+
+    def test_added_count(self):
+        def add(resp, run, _):
+            return remade(resp, supports=np.append(resp.supports, 0))
+
+        error, resp, _ = self.refusal(add, 2)
+        m = resp.n_itemsets
+        assert error == f"site {resp.site_id} answered {m + 1} counts at level 2, asked for {m}"
+
+    def test_count_at_the_site_threshold(self):
+        thresholds = []
+
+        def push(resp, run, _):
+            thresholds.append(run.sites[resp.site_id].site_threshold)
+            supports = resp.supports.copy()
+            supports[-1] = thresholds[0]
+            return remade(resp, supports=supports)
+
+        error, resp, requests = self.refusal(push, 2)
+        i, (t,) = resp.site_id, thresholds
+        (asked,) = [req for site, req in requests if site == i and req.k == 2]
+        itemset = tuple(asked.rows[-1].tolist())
+        bounds = f"outside [0, {t - 1}] for itemset {itemset} at level 2"
+        assert error == f"site {i} answered count {t} {bounds}"
+
+    def test_second_response(self):
+        # level 1's second answer, from site 3, arrives as site 2's again
+        def as_first(resp, run, earlier):
+            return remade(resp, site_id=earlier[0].site_id)
+
+        error, resp, _ = self.refusal(as_first, 1)
+        assert (resp.site_id, resp.k) == (3, 1)
+        assert error == "site 2 answered level 1 twice"
+
+    def test_response_from_a_site_not_polled(self):
+        # level 1's first answer, from site 2, arrives as site 0's
+        error, resp, requests = self.refusal(lambda r, run, _: remade(r, site_id=0), 0)
+        assert (resp.site_id, resp.k) == (2, 1)
+        assert 0 not in [site for site, req in requests if req.k == 1]
+        assert error == "site 0 answered unrequested level 1 itemsets"
 
 
 class TestErrors:
@@ -551,7 +638,7 @@ class TestSweep:
         lines = metrics.read_text().splitlines()
         cut = "".join(line.rsplit(",", 1)[0] + "\n" for line in lines)
         assert hashlib.sha256(cut.encode()).hexdigest() == (
-            "27b72cdf5eaf43ac2acc66f2311b8dae254ad58ca0eb99fa3e526c8b10dea680"
+            "b42b9704aca5d282a034460961b4741bf4796775bc1af26d63ef8c40d8a3a137"
         )
 
     @pytest.mark.parametrize("flag", ["--out", "--trace", "--labels"])

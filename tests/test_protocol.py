@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +34,7 @@ from distmine import (
     partition,
     sequential_apriori,
 )
-from distmine.messages import _check_sorted, canonical_size
+from distmine.messages import _check_sorted, canonical_size, decode, encode
 from distmine.protocol import local_prune
 
 TWO_THIRDS = Fraction(2, 3)
@@ -70,7 +71,7 @@ def request(k, itemsets):
 
 
 def response(site_id, k, counts):
-    return CountResponse(*_columns(counts, k), site_id=site_id, k=k)
+    return CountResponse(np.array(counts, dtype=np.int64), site_id=site_id, k=k)
 
 
 def global_result(k, frequent, continue_flag):
@@ -119,19 +120,19 @@ class TestLocalSite:
         assert pairs(rep) == ()
 
     def test_count_request_roundtrip(self, market_sites):
-        resp0 = market_sites[0].handle_count_request(request(k=1, itemsets=((C,),)))
-        assert pairs(resp0) == (((C,), 1),)
+        resp0 = market_sites[0].handle_count_request(request(k=1, itemsets=((C,), (D,))))
+        assert resp0 == response(site_id=0, k=1, counts=[1, 1])
         resp1 = market_sites[1].handle_count_request(request(k=1, itemsets=((B,),)))
-        assert pairs(resp1) == (((B,), 0),)
+        assert resp1 == response(site_id=1, k=1, counts=[0])
 
     def test_empty_count_request(self, market_sites):
         resp = market_sites[0].handle_count_request(request(k=1, itemsets=()))
-        assert pairs(resp) == ()
+        assert resp == response(site_id=0, k=1, counts=[])
 
     def test_items_outside_local_universe_count_zero(self, market_db):
         site = LocalSite(0, market_db, TWO_THIRDS)
         resp = site.handle_count_request(request(k=1, itemsets=((40,),)))
-        assert pairs(resp) == (((40,), 0),)
+        assert resp == response(site_id=0, k=1, counts=[0])
 
     def test_update_heavy_site0(self, market_sites):
         site = market_sites[0]
@@ -230,26 +231,38 @@ _HEADERS = {
 }
 
 
+def _body(kind, rows, supports):
+    """The arrays a ``kind`` message is built from, of the given ones."""
+    return [{"rows": rows, "supports": supports}[name] for name in kind.BODY]
+
+
 def _message(kind, itemsets):
-    """A level-2 message carrying ``itemsets``, count 1 each. ``kind`` is a
-    message type, given its itemsets as a list of tuples, or a (type, True)
-    pair, given them as an int64 array of rows. A list of no tuples has no
-    width, so it is passed as an empty (0, 2) array."""
+    """A level-2 message about ``itemsets``, count 1 each. ``kind`` is a
+    message type, given its itemsets as a list of tuples and its counts as a
+    list, or a (type, True) pair, given them as int64 arrays. A list of no
+    tuples has no width, so it is passed as an empty (0, 2) array. A
+    CountResponse carries the counts alone."""
     kind, as_array = kind if isinstance(kind, tuple) else (kind, False)
-    rows = itemsets
+    rows, supports = itemsets, [1] * len(itemsets)
     if as_array or not itemsets:
         rows = _rows(itemsets, len(itemsets[0]) if itemsets else 2)
-    supports = None if kind is CountRequest else np.ones(len(rows), dtype=np.int64)
-    return kind(rows, supports, **_HEADERS[kind])
+    if as_array:
+        supports = np.ones(len(rows), dtype=np.int64)
+    return kind(*_body(kind, rows, supports), **_HEADERS[kind])
 
 
 MESSAGE_TYPES = [LocalReport, CountRequest, CountResponse, GlobalResult]
 
-# Every message type given its itemsets as a list of tuples (named after the
-# type) and as an int64 array of rows (named ``<type>.from_rows``).
-CONSTRUCTORS = [pytest.param((kind, False), id=kind.__name__) for kind in MESSAGE_TYPES] + [
-    pytest.param((kind, True), id=f"{kind.__name__}.from_rows") for kind in MESSAGE_TYPES
-]
+# The types that carry itemsets as rows: every one but CountResponse.
+ROW_TYPES = [LocalReport, CountRequest, GlobalResult]
+
+
+def _constructors(kinds):
+    """Each type given its arrays as lists (named after the type) and as
+    int64 arrays (named ``<type>.from_rows``)."""
+    return [pytest.param((kind, False), id=kind.__name__) for kind in kinds] + [
+        pytest.param((kind, True), id=f"{kind.__name__}.from_rows") for kind in kinds
+    ]
 
 # Ids for the order check: small ones close together, ones around 2**40 and
 # any int64, so that rows tie, cross zero and fill all eight bytes.
@@ -268,7 +281,7 @@ def row_lists(draw):
 
 
 class TestMessages:
-    @pytest.mark.parametrize("kind", MESSAGE_TYPES)
+    @pytest.mark.parametrize("kind", ROW_TYPES)
     @pytest.mark.parametrize(
         "itemsets",
         [[(A,)], [(A, B), (A, B, C)], [(A,), (A, B)], [(A, B), (C, D, E)]],
@@ -278,14 +291,14 @@ class TestMessages:
         with pytest.raises(ValueError, match="level-2 message|inhomogeneous"):
             _message(kind, itemsets)
 
-    @pytest.mark.parametrize("kind", CONSTRUCTORS)
+    @pytest.mark.parametrize("kind", _constructors(ROW_TYPES))
     @pytest.mark.parametrize("itemsets", [[(A,)], [(A, B, C), (A, B, D)]])
     def test_rejects_rows_of_another_width(self, kind, itemsets):
         # A ragged list is no array; rows of one wrong width are refused alike.
         with pytest.raises(ValueError, match="level-2 message"):
             _message(kind, itemsets)
 
-    @pytest.mark.parametrize("kind", CONSTRUCTORS)
+    @pytest.mark.parametrize("kind", _constructors(ROW_TYPES))
     @pytest.mark.parametrize(
         "itemsets",
         [[(A, C), (A, B)], [(A, B), (A, B)], [(B, 2**40), (B, -1)], [(-1, A), (-2, A)]],
@@ -294,12 +307,15 @@ class TestMessages:
         with pytest.raises(ValueError, match="sorted and duplicate-free"):
             _message(kind, itemsets)
 
-    @pytest.mark.parametrize("kind", CONSTRUCTORS)
+    @pytest.mark.parametrize("kind", _constructors(MESSAGE_TYPES))
     def test_canonical_size_counts_every_entry(self, kind):
+        # A CountResponse carries counts and no ids, a CountRequest ids and
+        # no counts.
         itemsets = [(A, B), (A, 300), (B, 2**40)]
         header = {LocalReport: 2, CountRequest: 1, CountResponse: 2, GlobalResult: 2}
+        id_bytes = 0 if kind[0] is CountResponse else 4
         count_bytes = 0 if kind[0] is CountRequest else 8
-        expected = 8 * header[kind[0]] + sum(4 * len(x) + count_bytes for x in itemsets)
+        expected = 8 * header[kind[0]] + sum(id_bytes * len(x) + count_bytes for x in itemsets)
         assert canonical_size(_message(kind, itemsets)) == expected
         assert canonical_size(_message(kind, [])) == 8 * header[kind[0]]
 
@@ -310,9 +326,12 @@ class TestMessages:
         by_tuples, by_rows = _message(kind, itemsets), _message((kind, True), itemsets)
         assert by_tuples == by_rows
         assert canonical_size(by_tuples) == canonical_size(by_rows)
-        assert by_rows.rows.dtype == np.int64
-        assert by_rows.rows.tolist() == [list(x) for x in itemsets]
+        assert by_tuples.n_itemsets == by_rows.n_itemsets == len(itemsets)
+        if kind is not CountResponse:
+            assert by_rows.rows.dtype == np.int64
+            assert by_rows.rows.tolist() == [list(x) for x in itemsets]
         if kind is not CountRequest:
+            assert by_tuples.supports.dtype == np.int64
             assert by_rows.supports.tolist() == [1] * len(itemsets)
         else:
             view = by_rows.itemsets
@@ -336,9 +355,8 @@ class TestMessages:
     def test_rejects_level_zero(self, kind, n_rows):
         # No actor sends a level-0 message; the level is checked first.
         rows = np.empty((n_rows, 0), dtype=np.int64)
-        supports = None if kind is CountRequest else [3] * n_rows
         with pytest.raises(ValueError, match="level is at least 1, got 0"):
-            kind(rows, supports, **dict(_HEADERS[kind], k=0))
+            kind(*_body(kind, rows, [3] * n_rows), **dict(_HEADERS[kind], k=0))
 
     def test_array_constructor_wants_one_count_per_itemset(self):
         rows = np.array([(A, B), (A, C)], dtype=np.int64)
@@ -347,7 +365,48 @@ class TestMessages:
         with pytest.raises(TypeError, match="fields"):
             CountRequest(rows, np.ones(2, np.int64), k=2)
         with pytest.raises(TypeError, match="fields"):
-            CountResponse(rows, np.ones(2, np.int64), k=2)
+            CountResponse(rows, np.ones(2, np.int64), site_id=0, k=2)
+        with pytest.raises(ValueError, match="one count per itemset"):
+            CountResponse(np.ones((2, 1), np.int64), site_id=0, k=2)
+
+    @pytest.mark.parametrize("kind", MESSAGE_TYPES)
+    @pytest.mark.parametrize("itemsets", [[], [(A, B)], [(0, 7), (A, 2**32 - 1), (B, C)]])
+    def test_encoding_round_trips_at_the_canonical_size(self, kind, itemsets):
+        msg = _message((kind, True), itemsets)
+        data = encode(msg)
+        assert type(data) is bytes and len(data) == canonical_size(msg)
+        assert decode(kind, data) == msg
+
+    def test_encoding_layout(self):
+        # header fields as little-endian int64, then uint32 ids row by row,
+        # then int64 counts
+        msg = report(site_id=3, k=2, entries=(((A, B), 7), ((A, 2**32 - 1), -2)))
+        ids, counts = [A, B, A, 2**32 - 1], [7, -2]
+        expected = b"".join(
+            [(3).to_bytes(8, "little"), (2).to_bytes(8, "little")]
+            + [i.to_bytes(4, "little") for i in ids]
+            + [n.to_bytes(8, "little", signed=True) for n in counts]
+        )
+        assert encode(msg) == expected
+        result = global_result(k=1, frequent=(((A,), 4),), continue_flag=False)
+        assert encode(result)[8:16] == bytes(8)
+        assert decode(GlobalResult, encode(result)).continue_flag is False
+
+    @pytest.mark.parametrize("item", [-1, 2**32, 2**40])
+    def test_encoding_rejects_ids_outside_uint32(self, item):
+        with pytest.raises(ValueError, match=r"outside \[0, 2\*\*32\)"):
+            encode(request(k=1, itemsets=sorted([(0,), (item,)])))
+
+    @pytest.mark.parametrize(
+        "kind, n_bytes",
+        [(CountRequest, 4), (CountRequest, 19), (CountResponse, 20), (GlobalResult, 15)],
+    )
+    def test_decoding_rejects_a_partial_message(self, kind, n_bytes):
+        # a level-1 CountRequest takes 8 + 4m bytes, a CountResponse 16 + 8m
+        # and a GlobalResult 16 + 12m
+        data = (1).to_bytes(8, "little") + bytes(24)
+        with pytest.raises(ValueError, match=f"{n_bytes} bytes hold no {kind.__name__}"):
+            decode(kind, data[:n_bytes])
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(row_lists())
@@ -549,16 +608,17 @@ class TestCenterSite:
         center.aggregate(
             [report(site_id=0, k=1, entries=(((A,), 9),)), report(site_id=1, k=1, entries=())]
         )
-        answer = response(site_id=1, k=1, counts=(((A,), count),))
+        answer = response(site_id=1, k=1, counts=[count])
         error = rf"site 1 answered count {count} outside \[0, 4\] for itemset \(1,\) at level 1"
         with pytest.raises(ProtocolError, match=error):
             center.finalize([answer])
 
     def test_unrequested_response_rejected(self, market_sites, market_center):
+        # site 1 is asked for B alone; a second count answers nothing asked
         reports = [s.build_report(1) for s in market_sites]
         market_center.aggregate(reports)
-        rogue = response(site_id=1, k=1, counts=(((E,), 1),))
-        with pytest.raises(ProtocolError, match="unrequested"):
+        rogue = response(site_id=1, k=1, counts=[0, 1])
+        with pytest.raises(ProtocolError, match="site 1 answered 2 counts at level 1, asked for 1"):
             market_center.finalize([rogue])
 
     def test_missing_response_rejected(self, market_sites, market_center):
@@ -580,7 +640,7 @@ class TestCenterSite:
         immediate, _, requests = center.aggregate(reports)
         assert itemsets(immediate) == [(-1,)]
         assert itemsets(requests[1].rows) == [(low,), (high,)]
-        answer = response(site_id=1, k=1, counts=(((low,), 0), ((high,), 1)))
+        answer = response(site_id=1, k=1, counts=[0, 1])
         result = center.finalize([answer])
         assert pairs(result) == (((-1,), 5), ((high,), 4))
 
@@ -588,8 +648,8 @@ class TestCenterSite:
         reports = [s.build_report(1) for s in market_sites]
         _, _, requests = market_center.aggregate(reports)
         answer = market_sites[0].handle_count_request(requests[0])
-        again = response(site_id=0, k=1, counts=(((E,), 1),))
-        with pytest.raises(ProtocolError, match=r"site 0 answered unrequested itemset \(5,\)"):
+        again = response(site_id=0, k=1, counts=[1])
+        with pytest.raises(ProtocolError, match="site 0 answered level 1 twice"):
             market_center.finalize([answer, again])
 
     @pytest.mark.parametrize("site_id", [0, 1, 3, -1])
@@ -604,7 +664,7 @@ class TestCenterSite:
         ]
         _, _, requests = center.aggregate(reports)
         assert list(requests) == [2]
-        rogue = response(site_id=site_id, k=1, counts=(((A,), 1),))
+        rogue = response(site_id=site_id, k=1, counts=[1])
         with pytest.raises(ProtocolError, match=f"site {site_id} answered unrequested"):
             center.finalize([rogue])
 
@@ -612,16 +672,23 @@ class TestCenterSite:
     def test_empty_response_from_an_unknown_site_rejected(self, market_center, site_id):
         market_center.aggregate([report(site_id=i, k=1, entries=()) for i in (0, 1)])
         with pytest.raises(ProtocolError, match=f"site {site_id} answered unrequested"):
-            market_center.finalize([response(site_id=site_id, k=1, counts=())])
+            market_center.finalize([response(site_id=site_id, k=1, counts=[])])
 
     @pytest.mark.parametrize("itemset", [(D,), (0,), (40,), (-1,)])
     def test_response_outside_the_level_rejected(self, market_sites, market_center, itemset):
-        # D and 0 were reported by no site, 40 and -1 are no item here
+        # Site 0 is asked for C and E and also counts an itemset it was not
+        # asked for: D and 0 were reported by no site, 40 and -1 are no item
+        # here. Its answer holds one count too many.
         reports = [s.build_report(1) for s in market_sites]
-        market_center.aggregate(reports)
-        rogue = response(site_id=1, k=1, counts=((itemset, 0),))
-        with pytest.raises(ProtocolError, match=f"unrequested itemset \\({itemset[0]},\\)"):
-            market_center.finalize([rogue])
+        _, _, requests = market_center.aggregate(reports)
+        assert itemsets(requests[0].rows) == [(C,), (E,)]
+        rogue = request(k=1, itemsets=sorted([(C,), (E,), itemset]))
+        answered = [
+            market_sites[0].handle_count_request(rogue),
+            market_sites[1].handle_count_request(requests[1]),
+        ]
+        with pytest.raises(ProtocolError, match="site 0 answered 3 counts at level 1, asked for 2"):
+            market_center.finalize(answered)
 
     def test_pruned_itemset_answer_rejected(self):
         center = CenterSite([4, 4], Fraction(1, 2))
@@ -632,15 +699,15 @@ class TestCenterSite:
         _, pruned, _ = center.aggregate(reports)
         assert len(pruned) == 1
         with pytest.raises(ProtocolError, match="unrequested"):
-            center.finalize([response(site_id=1, k=1, counts=(((A,), 2),))])
+            center.finalize([response(site_id=1, k=1, counts=[2])])
 
     def test_partial_answer_rejected(self, market_sites, market_center):
         reports = [s.build_report(1) for s in market_sites]
         _, _, requests = market_center.aggregate(reports)
         assert itemsets(requests[0].rows) == [(C,), (E,)]
-        partial = response(site_id=0, k=1, counts=(((C,), 1),))
+        partial = response(site_id=0, k=1, counts=[1])
         answered = [partial, market_sites[1].handle_count_request(requests[1])]
-        with pytest.raises(ProtocolError, match=r"missing count responses for \[\(5,\)\]"):
+        with pytest.raises(ProtocolError, match="site 0 answered 1 counts at level 1, asked for 2"):
             market_center.finalize(answered)
 
     def test_response_from_a_site_with_nothing_to_fill_rejected(self):
@@ -651,10 +718,10 @@ class TestCenterSite:
             [report(site_id=0, k=1, entries=(((A,), 9),)), report(site_id=1, k=1, entries=())]
         )
         answers = [
-            response(site_id=0, k=1, counts=()),
-            response(site_id=0, k=1, counts=()),
-            response(site_id=1, k=1, counts=(((A,), 3),)),
-            response(site_id=1, k=1, counts=()),
+            response(site_id=0, k=1, counts=[]),
+            response(site_id=0, k=1, counts=[]),
+            response(site_id=1, k=1, counts=[3]),
+            response(site_id=1, k=1, counts=[]),
         ]
         with pytest.raises(ProtocolError, match="site 0 answered unrequested level 1 itemsets"):
             center.finalize(answers)
@@ -664,7 +731,7 @@ class TestCenterSite:
         center.aggregate(
             [report(site_id=0, k=1, entries=(((A,), 9),)), report(site_id=1, k=1, entries=())]
         )
-        answers = [response(site_id=1, k=1, counts=(((A,), 3),)), response(site_id=1, k=1, counts=())]
+        answers = [response(site_id=1, k=1, counts=[3]), response(site_id=1, k=1, counts=[])]
         with pytest.raises(ProtocolError, match="site 1 answered level 1 twice"):
             center.finalize(answers)
 
@@ -672,7 +739,30 @@ class TestCenterSite:
         reports = [s.build_report(1) for s in market_sites]
         market_center.aggregate(reports)
         with pytest.raises(ProtocolError, match="level"):
-            market_center.finalize([response(site_id=0, k=3, counts=())])
+            market_center.finalize([response(site_id=0, k=3, counts=[])])
+
+    @pytest.mark.parametrize(
+        "levels, rogue",
+        [
+            # (3,) was never frequent, yet both sites report (1, 3)
+            ([[(1,), (2,)]], (1, 3)),
+            # (1, 2) and (1, 3) are in L2, but (2, 3) is not
+            ([[(1,), (2,), (3,), (4,)], [(1, 2), (1, 3), (1, 4)]], (1, 2, 3)),
+        ],
+    )
+    def test_report_outside_the_last_result_rejected(self, levels, rogue):
+        # 10-row sites at minsup 1/2: a count of 5 at both sites is frequent
+        center = CenterSite([10, 10], Fraction(1, 2))
+        for k, frequent in enumerate(levels, start=1):
+            entries = [(x, 5) for x in frequent]
+            center.aggregate([report(site_id=i, k=k, entries=entries) for i in (0, 1)])
+            assert itemsets(center.finalize([]).rows) == frequent
+        k = len(rogue)
+        reports = [report(site_id=i, k=k, entries=((rogue, 5),)) for i in (0, 1)]
+        what = f"site 0 reported a subset outside level {k - 1}'s result in itemset {rogue}"
+        error = re.escape(f"{what} at level {k}")
+        with pytest.raises(ProtocolError, match=error):
+            center.aggregate(reports)
 
 
 class TestDelivery:
