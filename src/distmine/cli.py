@@ -176,12 +176,8 @@ def _execute(
             f"cannot partition {db.size} transactions across {args.sites} sites"
         )
     parts = partition(db, PartitionSpec(args.sites, *args.partition))
-    if algorithm == "improved":
-        run_state = ImprovedRun(
-            parts, minsup, count_colocated_messages=args.count_colocated_messages
-        )
-    else:
-        run_state = CountDistributionRun(parts, minsup)
+    miner = ImprovedRun if algorithm == "improved" else CountDistributionRun
+    run_state = miner(parts, minsup)
     result = run_state.run()
     return result, run_state.metrics, run_state.log.trace
 
@@ -289,12 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace", type=Path, help="message trace path (JSON lines)")
     parser.add_argument("--labels", type=Path, help="JSON item-id -> name map")
     parser.add_argument(
-        "--count-colocated-messages",
-        choices=("true", "false"),
-        default="true",
-        help="count site:0 <-> center messages in the metrics (default true)",
-    )
-    parser.add_argument(
         "--sweep-minsups", help="comma list of minsups; enables sweep mode"
     )
     parser.add_argument(
@@ -330,7 +320,6 @@ def _check_args(args: argparse.Namespace) -> None:
         raise ConfigError(f"--sweep-sizes repeats a size: {args.sweep_sizes}")
     if args.synthetic:
         args.synthetic = parse_synthetic(args.synthetic)
-    args.count_colocated_messages = args.count_colocated_messages == "true"
 
 
 def main(argv=None) -> int:

@@ -215,28 +215,16 @@ class TraceRecord:
         )
 
 
-# The center rides on site 0, so their exchanges never cross the network.
-COLOCATED_PAIR = frozenset(("site:0", "center"))
-
-
 class MessageLog:
-    """Records every message and accumulates message/byte counters.
+    """The trace of every message sent, site 0 <-> center exchanges
+    included; it is the only record of traffic."""
 
-    When ``count_colocated`` is False, exchanges between the co-located
-    site 0 and center still appear in the trace but are excluded from the
-    counters.
-    """
-
-    def __init__(self, count_colocated: bool = True) -> None:
+    def __init__(self) -> None:
         self.trace: list[TraceRecord] = []
-        self.messages_sent = 0
-        self.payload_bytes = 0
-        self.count_colocated = count_colocated
 
     def send(self, src: str, dst: str, msg: ProtocolMessage) -> ProtocolMessage:
         """Record ``msg`` from ``src`` to ``dst`` and deliver it: the return
         value is the message ``dst`` receives, in process ``msg`` itself."""
-        size = canonical_size(msg)
         self.trace.append(
             TraceRecord(
                 seq=len(self.trace),
@@ -245,10 +233,7 @@ class MessageLog:
                 k=msg.k,
                 type=type(msg).__name__,
                 items=msg.n_itemsets,
-                bytes=size,
+                bytes=canonical_size(msg),
             )
         )
-        if self.count_colocated or frozenset((src, dst)) != COLOCATED_PAIR:
-            self.messages_sent += 1
-            self.payload_bytes += size
         return msg

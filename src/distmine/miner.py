@@ -171,24 +171,25 @@ def mine_levels(
     frequent itemsets as sorted rows, their counts, the number of distinct
     candidates counted and of report entries sent; the miner stops by ending
     it. The result keeps read-only views of each non-empty level's arrays. A
-    level's metrics row counts what ``log`` recorded while the level ran."""
+    level's metrics row counts the trace records ``log`` added while the
+    level ran, and sums their bytes."""
     frequent: list[tuple[np.ndarray, np.ndarray]] = []
     metrics: list[RoundMetrics] = []
-    sent, sent_bytes = log.messages_sent, log.payload_bytes
+    seen = len(log.trace)
     for k, (rows, supports, candidates, entries) in enumerate(levels, 1):
         if len(rows):
             frequent.append((read_only(rows), read_only(supports)))
+        added, seen = log.trace[seen:], len(log.trace)
         metrics.append(
             RoundMetrics(
                 k=k,
                 candidates_generated=candidates,
-                messages_sent=log.messages_sent - sent,
-                payload_bytes=log.payload_bytes - sent_bytes,
+                messages_sent=len(added),
+                payload_bytes=sum(rec.bytes for rec in added),
                 llk_total=entries,
                 lk_size=len(rows),
             )
         )
-        sent, sent_bytes = log.messages_sent, log.payload_bytes
     return MiningResult(minsup, db_size, tuple(frequent)), metrics
 
 

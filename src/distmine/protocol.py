@@ -309,13 +309,7 @@ class ImprovedRun:
     (for scan counters), and the rows the max-count bound pruned per level.
     """
 
-    def __init__(
-        self,
-        partitions: list[TransactionDb],
-        minsup,
-        *,
-        count_colocated_messages: bool = True,
-    ) -> None:
+    def __init__(self, partitions: list[TransactionDb], minsup) -> None:
         if not partitions:
             raise ValueError("need at least one partition")
         self.minsup = parse_minsup(minsup)
@@ -323,7 +317,7 @@ class ImprovedRun:
             LocalSite(i, part, self.minsup) for i, part in enumerate(partitions)
         ]
         self.center = CenterSite([s.size for s in self.sites], self.minsup)
-        self.log = MessageLog(count_colocated=count_colocated_messages)
+        self.log = MessageLog()
         self.metrics: list[RoundMetrics] = []
         self.maxcount_pruned: list[np.ndarray] = []
         self.result: MiningResult | None = None

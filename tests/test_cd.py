@@ -26,8 +26,8 @@ class TestCountDistribution:
         run = CountDistributionRun(parts, "2/3")
         result = run.run()
         assert result == sequential_apriori(market_db, "2/3")
-        assert run.log.messages_sent == 0
         assert run.log.trace == []
+        assert all(m.messages_sent == m.payload_bytes == 0 for m in run.metrics)
 
     def test_candidate_metrics_reflect_shared_list(self, market_db):
         parts = partition(market_db, PartitionSpec(n_sites=2))

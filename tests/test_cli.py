@@ -12,7 +12,7 @@ from conftest import MARKET_FIMI, delivering, remade
 
 import distmine
 from distmine import CountRequest, CountResponse, ProtocolError
-from distmine.cli import _build_parser, _check_args, main
+from distmine.cli import _build_parser, _check_args, _execute, main
 
 MARKET_LABELS = '{"1":"Coffee","2":"Tea","3":"Milk","5":"Butter"}'
 
@@ -166,19 +166,6 @@ class TestRun:
             outs.append((out.read_bytes(), metrics.read_bytes(), trace.read_bytes()))
         assert outs[0] == outs[1]
 
-    def test_colocated_flag_reduces_messages(self, market_file, tmp_path):
-        counts = {}
-        for flag in ("true", "false"):
-            metrics = tmp_path / f"m_{flag}.csv"
-            run_cli(
-                "--input", market_file, "--minsup", "2/3", "--sites", "2",
-                "--algorithm", "improved", "--out", tmp_path / "r.json",
-                "--metrics", metrics, "--count-colocated-messages", flag,
-            )
-            rows = metrics.read_text().splitlines()[1:]
-            counts[flag] = sum(int(r.split(",")[4]) for r in rows)
-        assert counts["false"] < counts["true"]
-
     def test_synthetic_source(self, tmp_path, capsys):
         status = run_cli(
             "--synthetic", "T=3,I=12,D=60,seed=5", "--minsup", "0.2",
@@ -195,6 +182,7 @@ class TestRun:
             ("cd", "f376e37aeb5a0ecb36ab1440aae07d9bedc96cc55f8711fa5ea7a384434a53d8"),
             ("sequential", "b23be5ddd040878e227daedd3b413d5660d2d8f612a260f99db9d1e347abee32"),
         ],
+        ids=["improved", "cd", "sequential"],
     )
     def test_pinned_output_bytes(self, algorithm, digest, tmp_path):
         # SHA-256 of result JSON + metrics CSV + trace, concatenated
@@ -207,10 +195,7 @@ class TestRun:
         data = b"".join(p.read_bytes() for p in paths)
         assert hashlib.sha256(data).hexdigest() == digest
 
-    @pytest.mark.parametrize(
-        "extra", [("--algorithm", "improved"), ("--algorithm", "cd"),
-                  ("--algorithm", "improved", "--count-colocated-messages", "false")],
-    )  # fmt: skip
+    @pytest.mark.parametrize("extra", [("--algorithm", "improved"), ("--algorithm", "cd")])
     def test_delivered_copies_change_no_output_byte(self, extra, tmp_path):
         # Receivers that act on equal copies with fresh arrays write the
         # same result JSON, metrics CSV and trace as receivers of the sent
@@ -304,6 +289,19 @@ class TestRun:
         run.run()
         polls = sum(rec.type == "CountRequest" for rec in run.log.trace)
         assert (polls, sum(map(len, run.maxcount_pruned))) == (13, 60)
+
+    @pytest.mark.parametrize("algorithm", ["improved", "cd"])
+    def test_level_metrics_count_the_trace(self, algorithm):
+        # Each level's messages and bytes are its trace records' count and
+        # byte sum, and every record belongs to a level with a metrics row.
+        args = _build_parser().parse_args([*PINNED_RUN, "--algorithm", algorithm])
+        _check_args(args)
+        db = distmine.generate_synthetic(*args.synthetic)
+        _, metrics, trace = _execute(algorithm, db, args, args.minsup)
+        assert [m.k for m in metrics] == sorted({rec.k for rec in trace})
+        for m in metrics:
+            level = [rec.bytes for rec in trace if rec.k == m.k]
+            assert (m.messages_sent, m.payload_bytes) == (len(level), sum(level))
 
 
 def pinned_improved_run() -> distmine.ImprovedRun:
@@ -439,6 +437,16 @@ class TestErrors:
         status = run_cli("--input", bad, "--minsup", "0.5", "--algorithm", "sequential")
         assert status == 3
         assert f"parse error: line {line}: item 9" in capsys.readouterr().err
+
+    def test_colocated_flag_is_gone(self, market_file, capsys):
+        # The metrics count every message; argparse rejects the old switch.
+        with pytest.raises(SystemExit) as stop:
+            run_cli(
+                "--input", market_file, "--minsup", "0.5", "--algorithm", "improved",
+                "--count-colocated-messages", "false",
+            )  # fmt: skip
+        assert stop.value.code == 2
+        assert "--count-colocated-messages" in capsys.readouterr().err
 
     def test_missing_input_file(self, tmp_path, capsys):
         status = run_cli(

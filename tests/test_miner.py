@@ -26,7 +26,7 @@ from distmine import (
     threshold,
 )
 from distmine.dataset import TransactionDb
-from distmine.miner import apriori_gen
+from distmine.miner import apriori_gen, find_rows, join_rows, row_keys
 
 
 class TestParseMinsup:
@@ -149,6 +149,68 @@ class TestAprioriGen:
                 if k + 1 in by_len:
                     generated = set(apriori_gen(sorted(by_len[k])))
                     assert by_len[k + 1] <= generated
+
+
+# Ids at the edges of int64 and of its 32-bit halves, in rising order.
+EXTREMES = [-(2**63), -(2**63) + 1, -(2**32), -1, 0, 1, 2**31, 2**32, 2**63 - 1]
+
+
+def sorted_rows(itemsets, k: int) -> np.ndarray:
+    return np.array(sorted(itemsets), dtype=np.int64).reshape(-1, k)
+
+
+class TestRowKernels:
+    """``row_keys``, ``find_rows`` and ``join_rows`` on their own, with the
+    negative and 64-bit ids that ``apriori_gen`` turns away."""
+
+    def test_keys_sort_like_rows_over_int64_extremes(self):
+        pairs = [(a, b) for a in EXTREMES for b in EXTREMES]
+        rows = np.array(pairs, dtype=np.int64)
+        order = np.argsort(row_keys(rows), kind="stable")
+        assert [pairs[i] for i in order] == sorted(pairs)
+        assert len(set(row_keys(rows).tolist())) == len(pairs)
+
+    def test_single_column_keys_sort_like_ids(self):
+        rows = np.array(EXTREMES[::-1], dtype=np.int64)[:, None]
+        assert np.argsort(row_keys(rows)).tolist() == list(range(len(EXTREMES)))[::-1]
+
+    def test_find_rows_locates_present_rows_only(self):
+        known = sorted_rows([(a, b) for a in EXTREMES[::2] for b in EXTREMES[1::2]], 2)
+        probes = np.array([(a, b) for a in EXTREMES for b in EXTREMES], dtype=np.int64)
+        at, found = find_rows(row_keys(known), probes)
+        present = set(map(tuple, known.tolist()))
+        assert found.tolist() == [p in present for p in map(tuple, probes.tolist())]
+        assert (known[at[found]] == probes[found]).all()
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_find_rows_in_empty_known(self, k):
+        probes = np.array([EXTREMES[:k], EXTREMES[-k:]], dtype=np.int64)
+        at, found = find_rows(row_keys(np.empty((0, k), dtype=np.int64)), probes)
+        assert (at.tolist(), found.tolist()) == ([0, 0], [False, False])
+        assert (at.dtype, found.dtype) == (np.intp, bool)
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_join_of_no_rows(self, k):
+        joined = join_rows(np.empty((0, k), dtype=np.int64))
+        assert joined.shape == (0, k + 1)
+
+    def test_join_of_single_items_is_every_pair(self):
+        ids = [-(2**63), -5, 0, 2**40, 2**63 - 1]
+        joined = join_rows(np.array(ids, dtype=np.int64)[:, None])
+        assert list(map(tuple, joined.tolist())) == list(combinations(ids, 2))
+
+    def test_join_matches_bruteforce_with_negative_ids(self):
+        rng = random.Random(29)
+        for case in range(300):
+            k = 1 + case % 4
+            ids = sorted(rng.sample(range(-(10**12), 10**12), rng.randint(k, 9)))
+            if case % 3 == 0:
+                ids = [i - 4 for i in range(len(ids))]
+            level = list(combinations(ids, k))
+            level = rng.sample(level, rng.randint(0, len(level)))
+            joined = join_rows(sorted_rows(level, k))
+            assert list(map(tuple, joined.tolist())) == join_candidates(level), (case, level)
+            assert joined.dtype == np.int64 and joined.shape[1] == k + 1
 
 
 class TestSequentialApriori:

@@ -861,23 +861,22 @@ class TestImprovedRun:
         assert rec.items == 2
         assert rec.bytes == 8 * 2 + 2 * (4 + 8)
 
-    def test_colocated_messages_can_be_excluded(self, market_db):
+    def test_trace_holds_the_colocated_exchanges(self, market_db):
+        # The center rides on site 0. The metrics count every message; the
+        # trace tells the site:0 <-> center exchanges from the network ones.
         parts = partition(market_db, PartitionSpec(n_sites=2))
-        counted = ImprovedRun(parts, "2/3")
-        counted.run()
-        excluded = ImprovedRun(parts, "2/3", count_colocated_messages=False)
-        excluded.run()
-        assert excluded.log.messages_sent < counted.log.messages_sent
-        # trace still contains the colocated exchanges
-        assert len(excluded.log.trace) == len(counted.log.trace)
-        colocated = sum(
-            1
-            for rec in counted.log.trace
-            if {rec.src, rec.dst} == {"site:0", "center"}
-        )
-        assert (
-            counted.log.messages_sent - excluded.log.messages_sent == colocated
-        )
+        run = ImprovedRun(parts, "2/3")
+        run.run()
+        network = [rec for rec in run.log.trace if {rec.src, rec.dst} != {"site:0", "center"}]
+        per_level = [
+            (sum(rec.k == k for rec in network), sum(rec.bytes for rec in network if rec.k == k))
+            for k in (1, 2, 3)
+        ]
+        assert per_level == [(4, 152), (4, 168), (2, 32)]
+        assert (len(network), sum(rec.bytes for rec in network)) == (10, 352)
+        assert [m.k for m in run.metrics] == [1, 2, 3]
+        assert sum(m.messages_sent for m in run.metrics) == len(run.log.trace) == 20
+        assert sum(m.payload_bytes for m in run.metrics) == 704
 
     def test_run_twice_rejected(self, market_db):
         parts = partition(market_db, PartitionSpec(n_sites=2))
