@@ -1,5 +1,8 @@
 """Count-distribution baseline: every site counts the same candidates and
-broadcasts its full count vector to every peer each level.
+broadcasts its full count vector to every peer each level. Every site
+generates the same candidate list C_k, so the vector carries counts only, in
+C_k's order, and each peer takes the rows from its own C_k (Agrawal &
+Shafer, IEEE TKDE 1996).
 
 Shares the bit-matrix counting core with the center-site protocol so any
 difference in the metrics reflects the exchange scheme, not counting speed.
@@ -12,9 +15,10 @@ import numpy as np
 
 from .dataset import TransactionDb
 from .lmatrix import LMatrix, ScanCounter
-from .messages import LocalReport, MessageLog
+from .messages import CountResponse, MessageLog
 from .miner import MiningResult, RoundMetrics, apriori_levels, mine_levels
 from .miner import parse_minsup, threshold
+from .protocol import ProtocolError
 
 
 class CountDistributionRun:
@@ -52,12 +56,19 @@ class CountDistributionRun:
 
     def _count_level(self, rows: np.ndarray) -> tuple[np.ndarray, int]:
         """Count the candidate rows at every site and send each site's count
-        vector to every peer; returns the global counts and the n*|C|
-        entries sent. Site 0 sums its own vector and the ones delivered to
-        it; every inbox holds the same reports, so its sum stands for all."""
-        n, total = len(self.matrices), 0
+        vector to every peer; returns the global counts and the n*|C| entries
+        sent. A peer refuses a vector that does not hold one count per row
+        of its C_k. Site 0 sums its own vector and the ones delivered to it;
+        every inbox holds the same vectors, so its sum stands for all."""
+        n, k, total = len(self.matrices), rows.shape[1], 0
         for i, matrix in enumerate(self.matrices):
-            report = LocalReport(rows, matrix.count(rows), site_id=i, k=rows.shape[1])
-            got = {j: self.log.send(f"site:{i}", f"site:{j}", report) for j in range(n) if j != i}
-            total += got.get(0, report).supports
+            counts = CountResponse(matrix.count(rows), site_id=i, k=k)
+            got = {j: self.log.send(f"site:{i}", f"site:{j}", counts) for j in range(n) if j != i}
+            for j, msg in got.items():
+                if msg.n_itemsets != len(rows):
+                    raise ProtocolError(
+                        f"site {j} got {msg.n_itemsets} counts from site {i}"
+                        f" at level {k}, where C_{k} holds {len(rows)}"
+                    )
+            total += got.get(0, counts).supports
         return total, n * len(rows)

@@ -4,17 +4,23 @@ Every exchange between actors is a self-contained, serializable value, and
 every one goes through ``MessageLog.send``, which returns the message the
 receiver acts on; a real transport replaces that one method and leaves the
 algorithms untouched. A message is columnar and is about m level-k itemsets.
-A LocalReport or GlobalResult carries them as the rows of a read-only (m, k)
-int64 array ``rows`` in strictly rising lexicographic order, with their
-counts as the read-only int64 vector ``supports``; a CountRequest carries
-the rows alone; a CountResponse carries the counts alone, in the order of
-the request it answers, since the center already holds those rows. A message
-is built from its arrays and its header fields, as in
-``LocalReport(rows, supports, site_id=0, k=2)`` or
+
+At level 1 a LocalReport or GlobalResult carries them as the rows of a
+read-only (m, 1) int64 array ``rows`` in strictly rising order, with their
+counts as the read-only int64 vector ``supports``, and a CountRequest the
+rows alone. From level 2 on, every party can compute the level's candidate
+list C_k = join(L_{k-1}) from the last result, so these messages name their
+itemsets by a read-only boolean ``mask`` over C_k instead: a LocalReport is
+the mask and one count per set bit, a CountRequest and a GlobalResult the
+mask alone (the center keeps the global counts). A CountResponse carries the
+counts alone at every level, in the order of the request it answers, since
+the center already holds those itemsets. A message is built from its arrays
+and its header fields, as in ``LocalReport(rows, supports, site_id=0, k=1)``,
+``LocalReport(mask, supports, site_id=0, k=2)`` or
 ``CountResponse(supports, site_id=0, k=2)``. ``encode`` writes a message in
-the canonical encoding (8 bytes per header field, 4 per item id, 8 per
-count) and ``decode`` reads it back, so byte metrics are real, measured
-bytes and implementation-independent.
+the canonical encoding (8 bytes per header field, 4 per item id, one bit per
+C_k row rounded up to a byte, 8 per count) and ``decode`` reads it back, so
+byte metrics are real, measured bytes and implementation-independent.
 """
 
 from __future__ import annotations
@@ -25,8 +31,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-
-from .dataset import Itemset
 
 
 def _check_sorted(rows: np.ndarray, k: int) -> None:
@@ -50,37 +54,54 @@ def read_only(a: np.ndarray) -> np.ndarray:
 
 class _Columnar:
     """The body every message shares: the header fields named in ``HEADER``
-    (``k`` among them) and the arrays named in ``BODY``, ``rows``,
-    ``supports`` or both. Messages are immutable and compare by value."""
+    (``k`` among them) and the arrays named in ``BODY`` at level 1 and in
+    ``MASK_BODY`` from level 2 on; ``body`` names the message's own. Messages
+    are immutable and compare by value."""
 
     HEADER: tuple[str, ...]
     BODY = ("rows", "supports")
+    MASK_BODY = ("mask", "supports")
 
     def __init__(self, *body, **header) -> None:
-        """The message with the ``HEADER`` fields given by keyword and the
-        ``BODY`` arrays in order. The arrays are not copied: the message
-        holds read-only views of them."""
-        if sorted(header) != sorted(self.HEADER) or len(body) != len(self.BODY):
-            raise TypeError(f"{type(self).__name__} has the fields {self._names()}")
+        """The message with the ``HEADER`` fields given by keyword and its
+        body arrays in order. The arrays are not copied: the message holds
+        read-only views of them."""
+        if sorted(header) != sorted(self.HEADER):
+            raise TypeError(f"{type(self).__name__} has the header fields {self.HEADER}")
         k = header["k"]
         if k < 1:
             raise ValueError(f"a message's level is at least 1, got {k}")
-        fields = dict(zip(self.BODY, (np.asarray(a, dtype=np.int64) for a in body)))
+        names = self.body_at(k)
+        if len(body) != len(names):
+            raise TypeError(f"a level-{k} {type(self).__name__} has the body {names}")
+        fields = dict(zip(names, body))
         if "rows" in fields:
+            fields["rows"] = np.asarray(fields["rows"], dtype=np.int64)
             _check_sorted(fields["rows"], k)
+        if "mask" in fields:
+            fields["mask"] = np.asarray(fields["mask"])
+            if fields["mask"].dtype != bool or fields["mask"].ndim != 1:
+                raise ValueError("a mask is a 1-d boolean array")
         if "supports" in fields:
-            m = len(fields.get("rows", fields["supports"]))
-            if fields["supports"].shape != (m,):
-                raise ValueError("a message carries one count per itemset")
-        self.__dict__.update(header, **{f: read_only(a) for f, a in fields.items()})
+            fields["supports"] = np.asarray(fields["supports"], dtype=np.int64)
+        self.__dict__.update(header, body=names, **{f: read_only(a) for f, a in fields.items()})
+        if "supports" in fields and self.supports.shape != (self.n_itemsets,):
+            raise ValueError("a message carries one count per itemset")
+
+    @classmethod
+    def body_at(cls, k: int) -> tuple[str, ...]:
+        """The names of a level-k message's arrays, in encoding order."""
+        return cls.BODY if k == 1 else cls.MASK_BODY
 
     @property
     def n_itemsets(self) -> int:
-        """The number of itemsets the message is about."""
-        return len(getattr(self, self.BODY[0]))
+        """The number of itemsets the message is about: its rows, the set
+        bits of its mask, or its counts, whichever comes first."""
+        first = getattr(self, self.body[0])
+        return int(np.count_nonzero(first)) if first.dtype == bool else len(first)
 
     def _names(self) -> tuple[str, ...]:
-        return self.HEADER + self.BODY
+        return self.HEADER + self.body
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, f) for f in self._names())
@@ -112,11 +133,16 @@ class CountRequest(_Columnar):
 
     HEADER = ("k",)
     BODY = ("rows",)
+    MASK_BODY = ("mask",)
 
     @functools.cached_property
-    def itemsets(self) -> tuple[Itemset, ...]:
-        """The itemsets as tuples, made on first use; kept for bench/tracer.py."""
-        return tuple(map(tuple, self.rows.tolist()))
+    def itemsets(self) -> tuple:
+        """The requested itemsets, made on first use: tuples of ids at level
+        1 and their positions in C_k from level 2 on. Kept for
+        bench/tracer.py, which reads only their number."""
+        if self.k == 1:
+            return tuple(map(tuple, self.rows.tolist()))
+        return tuple(np.flatnonzero(self.mask).tolist())
 
 
 class CountResponse(_Columnar):
@@ -124,50 +150,64 @@ class CountResponse(_Columnar):
     in the request's order."""
 
     HEADER = ("site_id", "k")
-    BODY = ("supports",)
+    BODY = MASK_BODY = ("supports",)
 
 
 class GlobalResult(_Columnar):
-    """Globally frequent level-k itemsets with global counts; continue_flag
-    False tells sites the level-wise loop is over."""
+    """Globally frequent level-k itemsets, with global counts at level 1;
+    continue_flag False tells sites the level-wise loop is over."""
 
     HEADER = ("k", "continue_flag")
+    MASK_BODY = ("mask",)
 
 
 ProtocolMessage = Union[LocalReport, CountRequest, CountResponse, GlobalResult]
 
 
-def _item_bytes(cls: type, k: int) -> int:
-    """Bytes one itemset takes in a level-k message of type ``cls``: its k
-    item ids, if the type carries rows, and its count, if it carries counts."""
-    return 4 * k * ("rows" in cls.BODY) + 8 * ("supports" in cls.BODY)
+def _mask_bytes(n_candidates: int) -> int:
+    """Bytes of a mask over ``n_candidates`` itemsets: one bit each."""
+    return -(-n_candidates // 8)
 
 
 def canonical_size(msg: ProtocolMessage) -> int:
-    """Canonical payload size in bytes: 8 per header field, then 4 per item
-    id and 8 per count the message carries; ``len(encode(msg))``."""
-    return 8 * len(msg.HEADER) + _item_bytes(type(msg), msg.k) * msg.n_itemsets
+    """Canonical payload size in bytes, ``len(encode(msg))``: 8 per header
+    field, then 4 per item id, a bit per C_k row rounded up to a whole byte,
+    and 8 per count, each for what the message carries."""
+    size = 8 * len(msg.HEADER)
+    if "rows" in msg.body:
+        size += 4 * msg.rows.size
+    if "mask" in msg.body:
+        size += _mask_bytes(len(msg.mask))
+    if "supports" in msg.body:
+        size += 8 * len(msg.supports)
+    return size
 
 
 def encode(msg: ProtocolMessage) -> bytes:
     """The canonical encoding of ``msg``: its header fields as little-endian
-    int64, then its item ids as little-endian uint32, row by row, then its
-    counts as little-endian int64. An id outside [0, 2**32) raises
-    ValueError."""
+    int64, then its item ids as little-endian uint32, row by row, or its
+    mask, least significant bit first, in ceil(|C_k| / 8) bytes whose unused
+    high bits are 0, then its counts as little-endian int64. No field holds
+    a length: each follows from the header, the mask and |C_k|. An id
+    outside [0, 2**32) raises ValueError."""
     parts = [np.array([getattr(msg, f) for f in msg.HEADER], dtype="<i8")]
-    if "rows" in msg.BODY:
+    if "rows" in msg.body:
         rows = msg.rows
         if rows.size and (rows.min() < 0 or rows.max() >= 1 << 32):
             raise ValueError("item ids outside [0, 2**32) have no canonical encoding")
         parts.append(rows.astype("<u4"))
-    if "supports" in msg.BODY:
+    if "mask" in msg.body:
+        parts.append(np.packbits(msg.mask, bitorder="little"))
+    if "supports" in msg.body:
         parts.append(msg.supports.astype("<i8"))
     return b"".join(part.tobytes() for part in parts)
 
 
-def decode(cls: type, data: bytes) -> ProtocolMessage:
-    """The message of type ``cls`` that ``encode`` wrote as ``data``; data
-    of a length that holds no whole number of itemsets raises ValueError."""
+def decode(cls: type, data: bytes, n_candidates: int | None = None) -> ProtocolMessage:
+    """The message of type ``cls`` that ``encode`` wrote as ``data``. A
+    message that carries a mask, from level 2 on, needs ``n_candidates``,
+    the |C_k| its receiver computed. Data of a length that holds no whole
+    message, or a mask with a bit set past |C_k|, raises ValueError."""
     head, partial = 8 * len(cls.HEADER), ValueError(f"{len(data)} bytes hold no {cls.__name__}")
     if len(data) < head:
         raise partial
@@ -175,15 +215,34 @@ def decode(cls: type, data: bytes) -> ProtocolMessage:
     if "continue_flag" in header:
         header["continue_flag"] = bool(header["continue_flag"])
     k = header["k"]
-    if k < 1 or (len(data) - head) % _item_bytes(cls, k):
+    if k < 1:
         raise partial
-    m = (len(data) - head) // _item_bytes(cls, k)
-    body, offset = [], head
-    if "rows" in cls.BODY:
+    names, body, offset = cls.body_at(k), [], head
+    if "mask" in names:
+        if n_candidates is None:
+            raise ValueError(f"decoding a level-{k} {cls.__name__} needs |C_{k}|")
+        n_bytes = _mask_bytes(n_candidates)
+        if len(data) < offset + n_bytes:
+            raise partial
+        bits = np.frombuffer(data, dtype=np.uint8, count=n_bytes, offset=offset)
+        bits = np.unpackbits(bits, bitorder="little")
+        if bits[n_candidates:].any():
+            raise ValueError(f"a mask over {n_candidates} itemsets sets a bit past them")
+        body.append(bits[:n_candidates].astype(bool))
+        offset += n_bytes
+        m = int(np.count_nonzero(body[0]))
+        if len(data) - offset != 8 * m * ("supports" in names):
+            raise partial
+    else:
+        per_item = 4 * k * ("rows" in names) + 8 * ("supports" in names)
+        m, rest = divmod(len(data) - head, per_item)
+        if rest:
+            raise partial
+    if "rows" in names:
         ids = np.frombuffer(data, dtype="<u4", count=m * k, offset=offset)
         body.append(ids.astype(np.int64).reshape(m, k))
         offset += 4 * m * k
-    if "supports" in cls.BODY:
+    if "supports" in names:
         body.append(np.frombuffer(data, dtype="<i8", count=m, offset=offset).astype(np.int64))
     return cls(*body, **header)
 

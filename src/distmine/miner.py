@@ -71,10 +71,12 @@ def find_rows(known: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return at, known[at] == keys
 
 
-def join_rows(rows: np.ndarray) -> np.ndarray:
+def join_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (k+1)-candidates of sorted, distinct k-itemset rows, as sorted
     rows: every two rows that share their first k-1 items join, and a join
-    with a k-subset missing from ``rows`` is dropped."""
+    with a k-subset missing from ``rows`` is dropped. Also returns, for each
+    candidate, where its k-subsets are in ``rows``: column j of that
+    (m, k+1) array is the row of the subset without item j."""
     # Sorted rows with one (k-1)-prefix are consecutive; every pair (i, j),
     # i < j, inside such a run joins, in lexicographic order of the result.
     n, k = rows.shape
@@ -88,10 +90,12 @@ def join_rows(rows: np.ndarray) -> np.ndarray:
     cand = np.concatenate((rows[left], rows[right, -1:]), axis=1)
     # Dropping either of the two joined positions gives a or b, which are
     # present by construction; look the remaining k-1 subsets up.
-    known = row_keys(rows)
+    known, looked_up = row_keys(rows), []
     for j in range(k - 1):
-        cand = cand[find_rows(known, np.delete(cand, j, axis=1))[1]]
-    return cand
+        at, found = find_rows(known, np.delete(cand, j, axis=1))
+        cand, left, right = cand[found], left[found], right[found]
+        looked_up = [column[found] for column in looked_up] + [at[found]]
+    return cand, np.column_stack(looked_up + [right, left])
 
 
 def apriori_gen(prev_frequent) -> list[Itemset]:
@@ -112,7 +116,7 @@ def apriori_gen(prev_frequent) -> list[Itemset]:
     rows = np.array(prev, dtype=np.int64)
     if rows.min() < 0:
         raise ValueError("apriori_gen takes non-negative item ids")
-    return list(zip(*join_rows(rows).T.tolist()))
+    return list(zip(*join_rows(rows)[0].T.tolist()))
 
 
 @dataclass(frozen=True)
@@ -203,7 +207,7 @@ def apriori_levels(universe: int, thr: int, count):
         counts, entries = count(rows)
         frequent = counts >= thr
         yield rows[frequent], counts[frequent], len(rows), entries
-        rows = join_rows(rows[frequent])
+        rows = join_rows(rows[frequent])[0]
 
 
 def run_sequential(

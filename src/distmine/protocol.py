@@ -5,10 +5,16 @@ frequent candidates; the center combines reports, bounds the global count
 of partially reported itemsets, polls the silent sites for survivors, and
 broadcasts each level's globally frequent itemsets. Message traffic per
 level stays within 4n for n sites: n reports, at most n batched count
-requests, their responses, and n result broadcasts. A response carries
-only counts, in the order of its request: the center already holds the
-rows it asked for. Sites and center hold a level's itemsets as int64 row
-arrays, as the messages carry them, so no step loops over itemsets.
+requests, their responses, and n result broadcasts.
+
+Level 1 names itemsets by their ids. From level 2 on, every party joins the
+last result into the same candidate list C_k, so a report, a request and a
+result name their itemsets by a bit mask over C_k, and a site's own
+candidates are the rows of C_k all of whose (k-1)-subsets are heavy there.
+A response carries only counts, in the order of its request, and a result
+from level 2 on carries no counts: the center keeps them and writes the
+mining result. Sites and center hold a level's itemsets as int64 row arrays
+and masks over them, so no step loops over itemsets.
 """
 
 from __future__ import annotations
@@ -22,16 +28,7 @@ import numpy as np
 from .dataset import Itemset, TransactionDb
 from .lmatrix import LMatrix, ScanCounter
 from .messages import CountRequest, CountResponse, GlobalResult, LocalReport, MessageLog
-from .miner import (
-    MiningResult,
-    RoundMetrics,
-    find_rows,
-    join_rows,
-    mine_levels,
-    parse_minsup,
-    row_keys,
-    threshold,
-)
+from .miner import MiningResult, RoundMetrics, join_rows, mine_levels, parse_minsup, threshold
 
 
 class ProtocolError(RuntimeError):
@@ -74,16 +71,6 @@ def local_prune(
     return kept
 
 
-def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A stable order that sorts ``rows`` lexicographically and, in that
-    order, a mask of the first row of each run of equal rows."""
-    order = np.lexsort(rows.T[::-1])
-    rows = rows[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return order, first
-
-
 def _refuse(msg: LocalReport | CountResponse, rows: np.ndarray, bad: np.ndarray, what: str) -> None:
     """Raise ProtocolError naming the site, the level and the first of the
     itemsets ``rows`` that ``bad`` marks; ``msg`` carries their counts, one
@@ -94,13 +81,27 @@ def _refuse(msg: LocalReport | CountResponse, rows: np.ndarray, bad: np.ndarray,
         raise ProtocolError(f"site {msg.site_id} {what.format(count)} {x!r} at level {msg.k}")
 
 
+def _check_mask(route: str, msg, candidates: np.ndarray) -> None:
+    """A level-k mask has one bit per row of C_k, ``candidates``; ``route``
+    names where ``msg`` went in the error."""
+    if len(msg.mask) != len(candidates):
+        raise ProtocolError(
+            f"{route}: a {type(msg).__name__} masking {len(msg.mask)} itemsets"
+            f" at level {msg.k}, where C_{msg.k} holds {len(candidates)}"
+        )
+
+
 class LocalSite:
     """Per-partition state machine: builds reports, answers count requests,
     and tracks which itemsets are heavy here (locally and globally frequent).
 
-    Candidates and heavy itemsets are int64 arrays with one itemset per row,
-    in lexicographic order, like the messages; each step is a few numpy
-    calls over a whole level. ``reported`` is the last report sent."""
+    Itemsets are int64 arrays with one itemset per row, in lexicographic
+    order, and each step is a few numpy calls over a whole level. The site
+    keeps ``frequent``, the rows of the last GlobalResult, with ``heavy``,
+    the mask of those it reported; ``candidates``, the open level's
+    candidate list (every item at level 1, then C_k = join(frequent)), with
+    ``counted``, the mask of those it counted; and ``reported``, the last
+    report sent, whose mask from level 2 on is over ``candidates``."""
 
     def __init__(self, site_id: int, part: TransactionDb, minsup: Fraction) -> None:
         if part.size == 0:
@@ -113,29 +114,39 @@ class LocalSite:
         self.universe = part.universe
         self.closed = False  # a GlobalResult has closed the reported level
         nothing = np.empty((0, 1), dtype=np.int64)
-        self.heavy_prev = self.last_candidates = nothing
+        self.frequent = self.candidates = nothing
+        self.heavy = self.counted = np.empty(0, dtype=bool)
         self.reported = LocalReport(nothing, nothing[:, 0], site_id=site_id, k=1)
 
-    def local_candidates(self, k: int) -> np.ndarray:
-        """Level-k candidates: every single item at k=1, otherwise the
-        Apriori join over the previous level's heavy itemsets."""
+    def local_candidates(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The level-k candidate list and the mask of those this site counts:
+        every single item at k=1; otherwise C_k, the Apriori join of the last
+        result, and the rows all of whose (k-1)-subsets are heavy here. Those
+        are the join of the heavy itemsets: each is the join of its two
+        subsets that share a prefix."""
         if k == 1:
-            return np.arange(self.universe, dtype=np.int64)[:, None]
-        return join_rows(self.heavy_prev)
+            items = np.arange(self.universe, dtype=np.int64)[:, None]
+            return items, np.ones(len(items), dtype=bool)
+        candidates, subsets = join_rows(self.frequent)
+        return candidates, self.heavy[subsets].all(axis=1)
 
     def build_report(self, k: int) -> LocalReport:
-        """Count every level-k candidate and report the locally frequent ones,
-        even none, so the center can tell "nothing frequent" from "no reply".
-        ``local_prune`` would drop no candidate: each (k-1)-subset is heavy
-        here, so the least subset count already clears the site threshold."""
-        candidates = self.local_candidates(k)
-        counts = self.matrix.count(candidates)
+        """Count every level-k candidate of this site and report the locally
+        frequent ones, even none, so the center can tell "nothing frequent"
+        from "no reply". ``local_prune`` would drop no candidate: each
+        (k-1)-subset is heavy here, so the least subset count already clears
+        the site threshold."""
+        self.candidates, self.counted = self.local_candidates(k)
+        counted = np.flatnonzero(self.counted)
+        counts = self.matrix.count(self.candidates[counted])
         frequent = counts >= self.site_threshold
+        if k == 1:
+            named = self.candidates[counted[frequent]]
+        else:
+            named = np.zeros(len(self.candidates), dtype=bool)
+            named[counted[frequent]] = True
         self.closed = False
-        self.last_candidates = candidates
-        self.reported = LocalReport(
-            candidates[frequent], counts[frequent], site_id=self.site_id, k=k
-        )
+        self.reported = LocalReport(named, counts[frequent], site_id=self.site_id, k=k)
         return self.reported
 
     def _check_level(self, what: str, k: int) -> None:
@@ -153,7 +164,12 @@ class LocalSite:
             raise ProtocolError(
                 f"site {self.site_id}: count request for closed level {req.k}"
             )
-        return CountResponse(self.matrix.count(req.rows), site_id=self.site_id, k=req.k)
+        if req.k == 1:
+            rows = req.rows
+        else:
+            _check_mask(f"site {self.site_id}", req, self.candidates)
+            rows = self.candidates[req.mask]
+        return CountResponse(self.matrix.count(rows), site_id=self.site_id, k=req.k)
 
     def update_heavy(self, result: GlobalResult) -> None:
         """Heavy here = globally frequent and reported by this site.
@@ -171,8 +187,13 @@ class LocalSite:
                 f"site {self.site_id}: second global result for level {result.k}"
             )
         self.closed = True
-        reported = find_rows(row_keys(self.reported.rows), result.rows)[1]
-        self.heavy_prev = result.rows[reported]
+        if result.k == 1:
+            self.frequent = result.rows
+            self.heavy = np.isin(result.rows[:, 0], self.reported.rows[:, 0], assume_unique=True)
+        else:
+            _check_mask(f"site {self.site_id}", result, self.candidates)
+            self.frequent = self.candidates[result.mask]
+            self.heavy = self.reported.mask[result.mask]
 
 
 class AggregationOutcome(NamedTuple):
@@ -187,13 +208,16 @@ class AggregationOutcome(NamedTuple):
 
 class CenterSite:
     """Combines local reports into global decisions, numbering the levels
-    itself. An open level is its sorted rows and an (itemsets x sites) count
+    itself. An open level is the level's candidate list (the reported items
+    at level 1, then C_k = join(frequent)), the sorted rows of it that some
+    site reported and were not pruned, and their (itemsets x sites) count
     matrix, -1 where a count is not yet known, so a count is bounds-checked
-    before it is stored; every decision is a mask over the matrix. The
-    cells of site i still at -1 are the rows requested from site i, in order,
-    so its answer, counts only, fills them by position. ``frequent`` holds
-    the rows of the last GlobalResult, which every (k-1)-subset of a level-k
-    report must be among."""
+    before it is stored; every decision is a mask over the matrix. The cells
+    of site i still at -1 are the rows requested from site i, in order, so
+    its answer, counts only, fills them by position. ``frequent`` holds the
+    rows of the last GlobalResult, ``supports`` their global counts and
+    ``heavy`` which sites reported each: every (k-1)-subset of an itemset
+    site i reports at level k must be heavy at site i."""
 
     def __init__(self, site_sizes: list[int], minsup: Fraction) -> None:
         self.n_sites = len(site_sizes)
@@ -204,6 +228,17 @@ class CenterSite:
         self.level = 0  # the last level aggregated
         self.open = self.stopped = False
         self.frequent = np.empty((0, 0), dtype=np.int64)  # no result yet
+        self.supports = np.empty(0, dtype=np.int64)
+        self.heavy = np.empty((0, self.n_sites), dtype=bool)
+
+    def _named(self, select: np.ndarray) -> np.ndarray:
+        """The open level's kept rows that ``select`` marks, as a message
+        names them: as rows at level 1, else as a mask over C_k."""
+        if self.level == 1:
+            return self._rows[select]
+        mask = np.zeros(len(self._candidates), dtype=bool)
+        mask[self._at[select]] = True
+        return mask
 
     def aggregate(self, reports: list[LocalReport]) -> AggregationOutcome:
         """Process one report per site: decide fully reported itemsets on the
@@ -224,36 +259,46 @@ class CenterSite:
         if any(r.k != k for r in reports):
             levels = sorted({r.k for r in reports})
             raise ProtocolError(f"reports for levels {levels}, expected level {k}")
-        for r in reports:
+        reports = sorted(reports, key=lambda r: r.site_id)
+        if k == 1:
+            # The center does not know the universe: the candidate list is
+            # every item some site reported.
+            ids = [r.rows[:, 0] for r in reports]
+            items = np.sort(np.concatenate(ids))
+            new = np.ones(len(items), dtype=bool)
+            new[1:] = items[1:] != items[:-1]
+            candidates = items[new][:, None]
+            at = [np.searchsorted(candidates[:, 0], i) for i in ids]
+        else:
+            candidates, subsets = join_rows(self.frequent)
+            for r in reports:
+                _check_mask(f"site {r.site_id} to the center", r, candidates)
+            at = [np.flatnonzero(r.mask) for r in reports]
+        counts = np.full((len(candidates), self.n_sites), -1, dtype=np.int64)
+        for r, i in zip(reports, at):
             low, high = self.site_thresholds[r.site_id], self.site_sizes[r.site_id]
             bad = (r.supports < low) | (r.supports > high)
-            _refuse(r, r.rows, bad, f"reported count {{}} outside [{low}, {high}] for itemset")
-        if k > 1:
-            # A site's level-k candidates join its heavy (k-1)-itemsets, all
-            # of them in the last result, so each of their (k-1)-subsets is.
-            known = row_keys(self.frequent)
-            for r, j in itertools.product(reports, range(k)):
-                bad = ~find_rows(known, np.delete(r.rows, j, axis=1))[1]
-                what = f"reported a subset outside level {k - 1}'s result in itemset"
-                _refuse(r, r.rows, bad, what)
+            _refuse(r, candidates[i], bad, f"reported count {{}} outside [{low}, {high}] for itemset")
+            if k > 1:
+                bad = ~self.heavy[subsets[i], r.site_id].all(axis=1)
+                what = f"reported a subset it did not have heavy at level {k - 1} in itemset"
+                _refuse(r, candidates[i], bad, what)
+            counts[i, r.site_id] = r.supports
 
-        reports = sorted(reports, key=lambda r: r.site_id)
-        rows = np.concatenate([r.rows for r in reports])
-        order, first = _runs(rows)
-        site = np.repeat(np.arange(self.n_sites), [len(r.rows) for r in reports])
-        supports = np.concatenate([r.supports for r in reports])
-        counts = np.full((np.count_nonzero(first), self.n_sites), -1, dtype=np.int64)
-        counts[np.cumsum(first) - 1, site[order]] = supports[order]
+        # Only itemsets some site reported are decided.
+        where = np.flatnonzero((counts >= 0).any(axis=1))
+        counts = counts[where]
         silent = counts < 0
         max_count = np.where(silent, self.site_thresholds - 1, counts).sum(axis=1)
         kept = max_count >= self.global_threshold
-        itemsets = rows[order[first]]
-        self._rows, self._counts = itemsets[kept], counts[kept]
+        self._candidates, self._at = candidates, where[kept]
+        self._rows, self._counts, self._reported = candidates[self._at], counts[kept], ~silent[kept]
         self.level, self.open = k, True
 
         polled = silent[kept]
-        requests = {i: CountRequest(self._rows[w], k=k) for i, w in enumerate(polled.T) if w.any()}
-        return AggregationOutcome(self._rows[~polled.any(axis=1)], itemsets[~kept], requests)
+        requests = {i: CountRequest(self._named(w), k=k) for i, w in enumerate(polled.T) if w.any()}
+        pruned = candidates[where[~kept]]
+        return AggregationOutcome(self._rows[~polled.any(axis=1)], pruned, requests)
 
     def finalize(self, responses: list[CountResponse]) -> GlobalResult:
         """Write poll answers into their cells and close the level. Exactly
@@ -264,7 +309,8 @@ class CenterSite:
         already in (length, lex) order; fully reported ones always do, since
         the sum of the site thresholds is at least the global one. The loop
         continues only if the level produced more frequent itemsets than its
-        own size k (any (k+1)-itemset needs k+1 frequent k-subsets).
+        own size k (any (k+1)-itemset needs k+1 frequent k-subsets). The
+        result carries the counts at level 1 only; the center keeps them.
         """
         if not self.open:
             raise ProtocolError(f"no open level to finalize after level {self.level}")
@@ -294,9 +340,11 @@ class CenterSite:
 
         totals = counts.sum(axis=1)
         frequent = totals >= self.global_threshold
-        self.frequent = self._rows[frequent]
+        self.frequent, self.supports = self._rows[frequent], totals[frequent]
+        self.heavy = self._reported[frequent]
         self.open, self.stopped = False, int(np.count_nonzero(frequent)) <= k
-        return GlobalResult(self.frequent, totals[frequent], k=k, continue_flag=not self.stopped)
+        body = (self._named(frequent),) + ((self.supports,) if k == 1 else ())
+        return GlobalResult(*body, k=k, continue_flag=not self.stopped)
 
 
 class ImprovedRun:
@@ -333,12 +381,11 @@ class ImprovedRun:
     def _rounds(self):
         """One protocol round per level, for ``mine_levels``, in which each
         receiver acts on the message ``MessageLog.send`` delivers. Level 1
-        always runs; the rounds stop when the center clears ``continue_flag``."""
+        always runs; the rounds stop when the center clears ``continue_flag``.
+        The result's counts are the center's."""
         send = self.log.send
         for k in itertools.count(1):
             reports = [send(f"site:{s.site_id}", "center", s.build_report(k)) for s in self.sites]
-            candidates = np.concatenate([site.last_candidates for site in self.sites])
-
             _, pruned, requests = self.center.aggregate(reports)
             self.maxcount_pruned.append(pruned)
 
@@ -351,7 +398,13 @@ class ImprovedRun:
             for site in self.sites:
                 site.update_heavy(send("center", f"site:{site.site_id}", outcome))
 
-            distinct = int(np.count_nonzero(_runs(candidates)[1]))
-            yield outcome.rows, outcome.supports, distinct, sum(len(r.rows) for r in reports)
+            # The distinct candidates counted anywhere: the site lists are
+            # prefixes of one item range at level 1, and C_k after.
+            if k == 1:
+                distinct = max(len(s.counted) for s in self.sites)
+            else:
+                distinct = int(np.count_nonzero(np.logical_or.reduce([s.counted for s in self.sites])))
+            entries = sum(r.n_itemsets for r in reports)
+            yield self.center.frequent, self.center.supports, distinct, entries
             if not outcome.continue_flag:
                 return

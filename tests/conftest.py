@@ -70,11 +70,12 @@ def local_prune_checks():
     build = LocalSite.build_report
 
     def checked(site, k):
-        candidates = list(map(tuple, site.local_candidates(k).tolist()))
         reported = site.reported
-        bounds = dict(zip(map(tuple, reported.rows.tolist()), reported.supports.tolist()))
+        rows = reported.rows if reported.k == 1 else site.candidates[reported.mask]
+        bounds = dict(zip(map(tuple, rows.tolist()), reported.supports.tolist()))
         report = build(site, k)
         if k > 1:
+            candidates = list(map(tuple, site.candidates[site.counted].tolist()))
             kept = local_prune(candidates, bounds, site.site_threshold)
             checks.append((k, site.site_id, sorted(set(candidates) - set(kept))))
         return report
@@ -102,8 +103,9 @@ def delivering(mutate):
 
 def remade(msg, **changes):
     """A message of ``msg``'s type with fresh copies of its arrays and the
-    fields named in ``changes`` replaced."""
+    fields named in ``changes`` replaced; a changed ``k`` takes the body of
+    its level, given in ``changes`` where it differs."""
     fields = {name: getattr(msg, name) for name in msg._names()}
     fields.update(changes)
-    body = [np.array(fields.pop(name)) for name in msg.BODY]
-    return type(msg)(*body, **fields)
+    body = [np.array(fields[name]) for name in msg.body_at(fields["k"])]
+    return type(msg)(*body, **{name: fields[name] for name in msg.HEADER})

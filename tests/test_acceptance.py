@@ -29,6 +29,7 @@ from distmine import (
 )
 from distmine.cli import main as cli_main
 from distmine.messages import canonical_size, decode, encode
+from distmine.miner import join_rows
 
 MINSUPS = ("0.2", "0.4", "0.6")
 SITE_COUNTS = (1, 2, 3, 4)
@@ -64,8 +65,10 @@ class InstanceRecord:
 @dataclass
 class Corpus:
     records: list = field(default_factory=list)
-    # every message the improved runs delivered
+    # every message the improved runs delivered, and the |C_k| of its level
+    # (None at level 1), from the join of the run's level k-1 result
     improved_messages: list = field(default_factory=list)
+    candidate_counts: list = field(default_factory=list)
     elapsed_s: float = 0.0
 
     def delivered(self, src, dst, msg):
@@ -89,8 +92,11 @@ def corpus() -> Corpus:
                         db, PartitionSpec(n_sites=n, strategy=strategy, seed=seed)
                     )
                     improved = ImprovedRun(parts, minsup)
+                    sent = len(corpus.improved_messages)
                     with local_prune_checks() as checks, delivering(corpus.delivered):
                         improved.run()
+                    sizes = [None, None] + [len(join_rows(r)[0]) for r, _ in improved.result.levels]
+                    corpus.candidate_counts += [sizes[m.k] for m in corpus.improved_messages[sent:]]
                     cd = CountDistributionRun(parts, minsup)
                     cd.run()
                     corpus.records.append(
@@ -262,9 +268,10 @@ def test_criterion_8_byte_identical_reruns(tmp_path):
 
 def test_canonical_encoding_is_real(corpus):
     # The bytes the metrics count are the bytes encode writes, and decode
-    # gives back every message the corpus's improved runs delivered.
+    # gives back every message the corpus's improved runs delivered, given
+    # the |C_k| that a receiver computes.
     assert len(corpus.improved_messages) > len(corpus.records)
-    for msg in corpus.improved_messages:
+    for msg, n_candidates in zip(corpus.improved_messages, corpus.candidate_counts, strict=True):
         data = encode(msg)
         assert len(data) == canonical_size(msg), msg
-        assert decode(type(msg), data) == msg, msg
+        assert decode(type(msg), data, n_candidates) == msg, msg

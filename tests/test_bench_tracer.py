@@ -5,6 +5,7 @@ the traced benchmark run; this checks the bindings on a tiny input."""
 import importlib
 from pathlib import Path
 
+import numpy as np
 from conftest import delivering
 from test_cli import PINNED_RUN
 
@@ -21,6 +22,14 @@ def bindings(tracer) -> dict:
         for home, cls, *_ in tracer.METHODS
     ]
     return {(id(o), name): obj for o in owners for name, obj in vars(o).items()}
+
+
+def named(msg) -> set:
+    """The itemsets a report names: id tuples at level 1, and positions in
+    C_k from level 2 on."""
+    if msg.k == 1:
+        return set(map(tuple, msg.rows.tolist()))
+    return set(np.flatnonzero(msg.mask).tolist())
 
 
 def test_traced_runs_and_restores(tmp_path, monkeypatch):
@@ -61,12 +70,12 @@ def test_aggregate_counters_match_an_untraced_run(monkeypatch):
     for k in range(1, len(run.metrics) + 1):
         reports = [m for m in sent if isinstance(m, distmine.LocalReport) and m.k == k]
         assert len(reports) == 5
-        everywhere += len(set.intersection(*(set(map(tuple, r.rows.tolist())) for r in reports)))
+        everywhere += len(set.intersection(*map(named, reports)))
     expected = {
         "protocol.decided_immediately": everywhere,
         "protocol.maxcount_pruned": sum(map(len, run.maxcount_pruned)),
         "protocol.poll_requests": len(requests),
-        "protocol.polled_itemsets": sum(len(r.rows) for r in requests),
+        "protocol.polled_itemsets": sum(r.n_itemsets for r in requests),
     }
     assert (expected["protocol.poll_requests"], expected["protocol.maxcount_pruned"]) == (13, 60)
 

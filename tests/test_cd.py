@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 from conftest import MARKET_FREQUENT, D, corpus_db, delivering, mine, remade
 
 from distmine import (
     CountDistributionRun,
     PartitionSpec,
+    ProtocolError,
     partition,
     sequential_apriori,
 )
@@ -40,17 +42,34 @@ class TestCountDistribution:
 
     def test_site_0_sums_the_reports_delivered_to_it(self, market_db):
         # D is in one transaction of three, below the threshold of 2; one
-        # more count of D on its way from site 1 to site 0 makes it frequent
+        # more count of D on its way from site 1 to site 0 makes it frequent.
+        # The vector carries no ids: C_1 is every item, so D's count is at D.
         parts = partition(market_db, PartitionSpec(n_sites=3))
 
         def add_d(src, dst, msg):
             if (src, dst, msg.k) == ("site:1", "site:0", 1):
-                return remade(msg, supports=msg.supports + (msg.rows[:, 0] == D))
+                return remade(msg, supports=msg.supports + (np.arange(msg.n_itemsets) == D))
             return msg
 
         with delivering(add_d):
             result = CountDistributionRun(parts, "2/3").run()
         assert result.frequent[(D,)] == 2
+
+    @pytest.mark.parametrize("change", [lambda s: s[:-1], lambda s: np.append(s, 0)])
+    def test_count_vector_of_another_length_rejected(self, market_db, change):
+        # Every peer takes the rows from its own C_k, so each one checks the
+        # length; here site 2 gets site 1's level-1 vector, |C_1| = 6.
+        parts = partition(market_db, PartitionSpec(n_sites=3))
+
+        def mutate(src, dst, msg):
+            if (src, dst, msg.k) == ("site:1", "site:2", 1):
+                return remade(msg, supports=change(msg.supports))
+            return msg
+
+        n = len(change(np.zeros(6)))
+        error = f"site 2 got {n} counts from site 1 at level 1, where C_1 holds 6"
+        with delivering(mutate), pytest.raises(ProtocolError, match=error):
+            CountDistributionRun(parts, "2/3").run()
 
     def test_trace_actors_are_sites_only(self, market_db):
         parts = partition(market_db, PartitionSpec(n_sites=3))

@@ -13,6 +13,8 @@ from conftest import MARKET_FIMI, delivering, remade
 import distmine
 from distmine import CountRequest, CountResponse, ProtocolError
 from distmine.cli import _build_parser, _check_args, _execute, main
+from distmine.messages import canonical_size, decode, encode
+from distmine.miner import join_rows
 
 MARKET_LABELS = '{"1":"Coffee","2":"Tea","3":"Milk","5":"Butter"}'
 
@@ -178,8 +180,8 @@ class TestRun:
     @pytest.mark.parametrize(
         "algorithm, digest",
         [
-            ("improved", "e56a9f907d7db3836522bac9754c2a48798952d447a35502d4885e37d8dd872a"),
-            ("cd", "f376e37aeb5a0ecb36ab1440aae07d9bedc96cc55f8711fa5ea7a384434a53d8"),
+            ("improved", "0eecdfc75e2ff50c57358a143935c9e3c286d1717dd1884b06f8045e462d25f8"),
+            ("cd", "6f23dc7677a3cdef0d321489a4a28b41357d43f02a0e4bb611dc2d05a2d9c253"),
             ("sequential", "b23be5ddd040878e227daedd3b413d5660d2d8f612a260f99db9d1e347abee32"),
         ],
         ids=["improved", "cd", "sequential"],
@@ -205,7 +207,7 @@ class TestRun:
         def copy(src, dst, msg):
             delivered = remade(msg)
             assert delivered == msg
-            shared = [np.shares_memory(getattr(delivered, f), getattr(msg, f)) for f in msg.BODY]
+            shared = [np.shares_memory(getattr(delivered, f), getattr(msg, f)) for f in msg.body]
             assert not any(shared)
             copies.append(delivered)
             return delivered
@@ -304,6 +306,84 @@ class TestRun:
             assert (m.messages_sent, m.payload_bytes) == (len(level), sum(level))
 
 
+# The uniform-deep input: 30,000 i.i.d. baskets over 100 items, 4 sites.
+UNIFORM_DEEP = (
+    "--synthetic", "T=10,I=100,D=30000,seed=1", "--sites", "4", "--minsup", "0.02",
+)  # fmt: skip
+
+# Its (level, messages, bytes) per miner, so that a change to the cost model
+# shows as a change to this table. From level 2 on, improved names itemsets
+# by a mask over C_k (|C_k| = 4950, 2163, 911, 215, 14, 0) and cd sends counts
+# alone.
+UNIFORM_DEEP_LEVELS = {
+    "improved": [
+        (1, 8, 9728), (2, 16, 27020), (3, 16, 35780), (4, 16, 23664),
+        (5, 16, 6884), (6, 14, 670), (7, 8, 128),
+    ],
+    "cd": [
+        (1, 12, 9792), (2, 12, 475392), (3, 12, 207840), (4, 12, 87648),
+        (5, 12, 20832), (6, 12, 1536),
+    ],
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("algorithm", ["improved", "cd"])
+def test_uniform_deep_level_costs(algorithm):
+    args = _build_parser().parse_args([*UNIFORM_DEEP, "--algorithm", algorithm])
+    _check_args(args)
+    db = distmine.generate_synthetic(*args.synthetic)
+    _, metrics, _ = _execute(algorithm, db, args, args.minsup)
+    levels = [(m.k, m.messages_sent, m.payload_bytes) for m in metrics]
+    assert levels == UNIFORM_DEEP_LEVELS[algorithm]
+
+
+def run_recorded(argv, algorithm: str, db) -> tuple:
+    """``_execute`` of ``algorithm`` on ``db`` with the flags ``argv``: its
+    result, its trace and every message delivered, in order."""
+    args = _build_parser().parse_args([*argv, "--algorithm", algorithm])
+    _check_args(args)
+    sent = []
+
+    def record(src, dst, msg):
+        sent.append(msg)
+        return msg
+
+    with delivering(record):
+        result, _, trace = _execute(algorithm, db, args, args.minsup)
+    return result, trace, sent
+
+
+# The |C_k| of every level-k mask each run sends, k >= 2: none of 190, 59 and
+# 3 is a multiple of 8, and the market run's last level masks an empty C_3.
+ENCODED_RUNS = {
+    ("pinned", "improved"): {190, 59, 3},
+    ("pinned", "cd"): set(),
+    ("market", "improved"): {6, 0},
+    ("market", "cd"): set(),
+}
+
+
+@pytest.mark.parametrize("source, algorithm", list(ENCODED_RUNS), ids="-".join)
+def test_every_message_round_trips(source, algorithm):
+    # Each message decodes from its encoding to itself, given the |C_k| its
+    # receiver computes by joining the level k-1 result, and its trace
+    # record's bytes are the encoding's length.
+    if source == "pinned":
+        argv, db = PINNED_RUN, distmine.generate_synthetic(500, 20, 4, seed=4)
+    else:
+        argv = ("--input", "market.dat", "--sites", "2", "--minsup", "2/3")
+        db = distmine.load_fimi(MARKET_FIMI)
+    result, trace, sent = run_recorded(argv, algorithm, db)
+    sizes = [None, None] + [len(join_rows(rows)[0]) for rows, _ in result.levels]
+    assert len(sent) == len(trace) > 0
+    for msg, rec in zip(sent, trace):
+        data = encode(msg)
+        assert rec.bytes == len(data) == canonical_size(msg), rec
+        assert decode(type(msg), data, sizes[msg.k]) == msg, rec
+    masked = {len(msg.mask) for msg in sent if "mask" in msg.body}
+    assert masked == ENCODED_RUNS[source, algorithm]
+
+
 def pinned_improved_run() -> distmine.ImprovedRun:
     """The improved run that ``main`` builds for PINNED_RUN, not yet run."""
     args = _build_parser().parse_args([*PINNED_RUN, "--algorithm", "improved"])
@@ -358,18 +438,21 @@ class TestMutatedPollAnswers:
         assert error == f"site {resp.site_id} answered {m + 1} counts at level 2, asked for {m}"
 
     def test_count_at_the_site_threshold(self):
-        thresholds = []
+        # The request names its itemsets by a mask over C_2, which the site
+        # holds as its candidate list.
+        seen = []
 
         def push(resp, run, _):
-            thresholds.append(run.sites[resp.site_id].site_threshold)
+            site = run.sites[resp.site_id]
+            seen.append((site.site_threshold, site.candidates))
             supports = resp.supports.copy()
-            supports[-1] = thresholds[0]
+            supports[-1] = site.site_threshold
             return remade(resp, supports=supports)
 
         error, resp, requests = self.refusal(push, 2)
-        i, (t,) = resp.site_id, thresholds
+        i, ((t, candidates),) = resp.site_id, seen
         (asked,) = [req for site, req in requests if site == i and req.k == 2]
-        itemset = tuple(asked.rows[-1].tolist())
+        itemset = tuple(candidates[asked.mask][-1].tolist())
         bounds = f"outside [0, {t - 1}] for itemset {itemset} at level 2"
         assert error == f"site {i} answered count {t} {bounds}"
 
@@ -646,7 +729,7 @@ class TestSweep:
         lines = metrics.read_text().splitlines()
         cut = "".join(line.rsplit(",", 1)[0] + "\n" for line in lines)
         assert hashlib.sha256(cut.encode()).hexdigest() == (
-            "b42b9704aca5d282a034460961b4741bf4796775bc1af26d63ef8c40d8a3a137"
+            "75ea5c8478bb50d080b40160840cb2d287b67b0bee11658d209ccb0971c26e60"
         )
 
     @pytest.mark.parametrize("flag", ["--out", "--trace", "--labels"])

@@ -196,14 +196,18 @@ PINNED = [
     ((20, 4000, 3900, 5), "29c4a0dbc73d7209ce8ad76feb966a55027a8677db9fdd06344c48a654bd8bdc"),
 ]
 
+# Test ids that name each database's (D, I, T, seed), not its digest, kept
+# short so the full test name stays within 100 characters: D30000-I100-T10-s1.
+PINNED_IDS = ["D{}-I{}-T{}-s{}".format(*args) for args, _ in PINNED]
+
 
 class TestGenerateSynthetic:
-    @pytest.mark.parametrize(("args", "sha256"), PINNED)
+    @pytest.mark.parametrize(("args", "sha256"), PINNED, ids=PINNED_IDS)
     def test_pinned_bytes(self, args, sha256):
         text = dump_fimi(generate_synthetic(*args))
         assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
-    @pytest.mark.parametrize(("args", "sha256"), PINNED)
+    @pytest.mark.parametrize(("args", "sha256"), PINNED, ids=PINNED_IDS)
     def test_pinned_bytes_one_row_per_chunk(self, monkeypatch, args, sha256):
         # The smallest budget draws one row per chunk; the bytes stay.
         monkeypatch.setattr(dataset, "CHUNK_BYTES", 1)

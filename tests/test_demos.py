@@ -13,8 +13,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 STDOUT_SHA256 = {
     "01_bitmap_support_counting.py": "cba6290c94164ea8b5f61552105ff57184db6feb117ab325d47662501a85cba9",
     "02_sequential_mining.py": "103ec1d51d0f2c193e5307a0e53d94ff7f4b7dddbcc4e94aad16deb22bfa4a35",
-    "03_distributed_walkthrough.py": "ef41029cb890976cf8ff86ae817849a412d1263cc763505bff984a3febd0aa24",
-    "04_protocol_vs_baseline.py": "c4445c1d1cf7a00f58d6c379ac1102fc7147e81fe15e0425dd9229181ce97d88",
+    "03_distributed_walkthrough.py": "d2be739d69aae4f279fecb568def44b1016f13032694d5f40d0dda3d15b627b2",
+    "04_protocol_vs_baseline.py": "62f126be29f9c0911d671e1ead7098dc2181ac8b30c0ad087faa82df5da4371f",
 }
 
 

@@ -191,13 +191,14 @@ class TestRowKernels:
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_join_of_no_rows(self, k):
-        joined = join_rows(np.empty((0, k), dtype=np.int64))
-        assert joined.shape == (0, k + 1)
+        joined, subsets = join_rows(np.empty((0, k), dtype=np.int64))
+        assert joined.shape == subsets.shape == (0, k + 1)
 
     def test_join_of_single_items_is_every_pair(self):
         ids = [-(2**63), -5, 0, 2**40, 2**63 - 1]
-        joined = join_rows(np.array(ids, dtype=np.int64)[:, None])
+        joined, subsets = join_rows(np.array(ids, dtype=np.int64)[:, None])
         assert list(map(tuple, joined.tolist())) == list(combinations(ids, 2))
+        assert subsets.tolist() == [[j, i] for i, j in combinations(range(len(ids)), 2)]
 
     def test_join_matches_bruteforce_with_negative_ids(self):
         rng = random.Random(29)
@@ -208,9 +209,14 @@ class TestRowKernels:
                 ids = [i - 4 for i in range(len(ids))]
             level = list(combinations(ids, k))
             level = rng.sample(level, rng.randint(0, len(level)))
-            joined = join_rows(sorted_rows(level, k))
+            rows = sorted_rows(level, k)
+            joined, subsets = join_rows(rows)
             assert list(map(tuple, joined.tolist())) == join_candidates(level), (case, level)
             assert joined.dtype == np.int64 and joined.shape[1] == k + 1
+            # Column j of ``subsets`` is the row of the candidate without item j.
+            assert subsets.shape == joined.shape
+            for j in range(k + 1):
+                assert (rows[subsets[:, j]] == np.delete(joined, j, axis=1)).all(), (case, j)
 
 
 class TestSequentialApriori:

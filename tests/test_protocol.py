@@ -35,6 +35,7 @@ from distmine import (
     sequential_apriori,
 )
 from distmine.messages import _check_sorted, canonical_size, decode, encode
+from distmine.miner import join_rows
 from distmine.protocol import local_prune
 
 TWO_THIRDS = Fraction(2, 3)
@@ -45,9 +46,29 @@ def itemsets(rows):
     return list(map(tuple, rows.tolist()))
 
 
-def pairs(msg):
-    """A counted message's (itemset, count) pairs, as tuples."""
-    return tuple(zip(itemsets(msg.rows), msg.supports.tolist()))
+def pairs(msg, candidates=None):
+    """A counted message's (itemset, count) pairs, as tuples; from level 2
+    on, its mask is over ``candidates``."""
+    rows = msg.rows if msg.k == 1 else candidates[msg.mask]
+    return tuple(zip(itemsets(rows), msg.supports.tolist()))
+
+
+def counted(site, k):
+    """The level-k candidates ``site`` counts, as tuples."""
+    candidates, mine = site.local_candidates(k)
+    return itemsets(candidates[mine])
+
+
+def heavy(site):
+    """The itemsets of the last result that ``site`` reported, as tuples."""
+    return itemsets(site.frequent[site.heavy])
+
+
+def mask(candidates, chosen):
+    """The mask over the rows ``candidates`` that marks the ``chosen``
+    itemsets, given as tuples."""
+    chosen = set(chosen)
+    return np.array([x in chosen for x in itemsets(candidates)], dtype=bool)
 
 
 def _rows(itemsets, k):
@@ -62,8 +83,14 @@ def _columns(entries, k):
 
 # Messages written as tuples in the tests: each builds the arrays its
 # constructor takes.
-def report(site_id, k, entries):
-    return LocalReport(*_columns(entries, k), site_id=site_id, k=k)
+def report(site_id, k, entries, candidates=None):
+    """From level 2 on, ``entries`` are named by a mask over the rows
+    ``candidates``, by default the entries' own itemsets."""
+    if k == 1:
+        return LocalReport(*_columns(entries, k), site_id=site_id, k=k)
+    rows, supports = _columns(entries, k)
+    bits = mask(rows if candidates is None else candidates, itemsets(rows))
+    return LocalReport(bits, supports, site_id=site_id, k=k)
 
 
 def request(k, itemsets):
@@ -91,19 +118,24 @@ def market_center(market_sites):
 
 class TestLocalSite:
     def test_level1_candidates_are_all_items(self, market_sites):
-        assert itemsets(market_sites[0].local_candidates(1)) == [(i,) for i in range(6)]
+        assert counted(market_sites[0], 1) == [(i,) for i in range(6)]
 
     def test_candidates_from_heavy_sets(self, market_sites):
+        # C_2 joins all of L_1; the site counts the pairs of its heavy items
         site = market_sites[0]
-        site.heavy_prev = np.array([(A,), (B,), (C,), (E,)])
-        assert itemsets(site.local_candidates(2)) == [
+        site.frequent = np.array([(A,), (B,), (C,), (D,), (E,)])
+        site.heavy = np.array([True, True, True, False, True])
+        assert len(site.local_candidates(2)[0]) == 10
+        assert counted(site, 2) == [
             (A, B), (A, C), (A, E), (B, C), (B, E), (C, E),
         ]
 
     def test_no_heavy_sets_no_candidates(self, market_sites):
         site = market_sites[0]
-        site.heavy_prev = np.empty((0, 1), dtype=np.int64)
-        assert itemsets(site.local_candidates(2)) == []
+        site.frequent = np.array([(A,), (B,)])
+        site.heavy = np.zeros(2, dtype=bool)
+        assert itemsets(site.local_candidates(2)[0]) == [(A, B)]
+        assert counted(site, 2) == []
 
     def test_level1_reports(self, market_sites):
         # site 0 holds {ABC, ABDE} with threshold 2; site 1 holds {ACE}, threshold 1
@@ -115,9 +147,10 @@ class TestLocalSite:
     def test_empty_report_still_produced(self, market_sites):
         site = market_sites[0]
         site.build_report(1)
-        site.heavy_prev = np.empty((0, 1), dtype=np.int64)
+        site.frequent = np.array([(A,), (B,)])
+        site.heavy = np.zeros(2, dtype=bool)
         rep = site.build_report(2)
-        assert pairs(rep) == ()
+        assert rep.mask.tolist() == [False] and pairs(rep, site.candidates) == ()
 
     def test_count_request_roundtrip(self, market_sites):
         resp0 = market_sites[0].handle_count_request(request(k=1, itemsets=((C,), (D,))))
@@ -143,7 +176,7 @@ class TestLocalSite:
             continue_flag=True,
         )
         site.update_heavy(result)
-        assert itemsets(site.heavy_prev) == [(A,), (B,)]
+        assert heavy(site) == [(A,), (B,)]
 
     def test_update_heavy_site1(self, market_sites):
         site = market_sites[1]
@@ -154,13 +187,13 @@ class TestLocalSite:
             continue_flag=True,
         )
         site.update_heavy(result)
-        assert itemsets(site.heavy_prev) == [(A,), (C,), (E,)]
+        assert heavy(site) == [(A,), (C,), (E,)]
 
     def test_update_heavy_empty_result(self, market_sites):
         site = market_sites[0]
         site.build_report(1)
         site.update_heavy(global_result(k=1, frequent=(), continue_flag=False))
-        assert itemsets(site.heavy_prev) == []
+        assert heavy(site) == []
 
     def test_update_heavy_ignores_unreported_itemsets(self, market_sites):
         # heavy = reported here and globally frequent: an itemset the site
@@ -168,7 +201,7 @@ class TestLocalSite:
         site = market_sites[0]
         result = global_result(k=1, frequent=(((B,), 2),), continue_flag=True)
         site.update_heavy(result)
-        assert itemsets(site.heavy_prev) == []
+        assert heavy(site) == []
         assert site.scan_counter.raw_scans == 1
 
     def test_update_heavy_needs_no_matrix(self, market_sites):
@@ -182,13 +215,13 @@ class TestLocalSite:
                 continue_flag=True,
             )
         )
-        assert itemsets(site.heavy_prev) == [(A,), (C,), (E,)]
+        assert heavy(site) == [(A,), (C,), (E,)]
 
     def test_count_request_for_another_level(self, market_sites):
         site = market_sites[0]
         site.build_report(1)
         with pytest.raises(ProtocolError, match="level 2 during level 1"):
-            site.handle_count_request(request(k=2, itemsets=((A, C),)))
+            site.handle_count_request(CountRequest(np.ones(1, dtype=bool), k=2))
 
     def test_global_result_for_another_level(self, market_sites):
         site = market_sites[0]
@@ -207,7 +240,7 @@ class TestLocalSite:
         with pytest.raises(ProtocolError, match="second global result for level 1"):
             site.update_heavy(result)
         site.build_report(2)
-        site.update_heavy(global_result(k=2, frequent=(), continue_flag=False))
+        site.update_heavy(GlobalResult(np.zeros(0, dtype=bool), k=2, continue_flag=False))
 
     def test_count_request_for_a_closed_level(self, market_sites):
         site = market_sites[0]
@@ -224,37 +257,48 @@ class TestLocalSite:
 
 
 _HEADERS = {
-    LocalReport: dict(site_id=0, k=2),
-    CountRequest: dict(k=2),
-    CountResponse: dict(site_id=0, k=2),
-    GlobalResult: dict(k=2, continue_flag=True),
+    LocalReport: dict(site_id=0, k=1),
+    CountRequest: dict(k=1),
+    CountResponse: dict(site_id=0, k=1),
+    GlobalResult: dict(k=1, continue_flag=True),
 }
 
 
 def _body(kind, rows, supports):
-    """The arrays a ``kind`` message is built from, of the given ones."""
+    """The arrays a level-1 ``kind`` message is built from, of the given ones."""
     return [{"rows": rows, "supports": supports}[name] for name in kind.BODY]
 
 
 def _message(kind, itemsets):
-    """A level-2 message about ``itemsets``, count 1 each. ``kind`` is a
+    """A level-1 message about ``itemsets``, count 1 each. ``kind`` is a
     message type, given its itemsets as a list of tuples and its counts as a
     list, or a (type, True) pair, given them as int64 arrays. A list of no
-    tuples has no width, so it is passed as an empty (0, 2) array. A
+    tuples has no width, so it is passed as an empty (0, 1) array. A
     CountResponse carries the counts alone."""
     kind, as_array = kind if isinstance(kind, tuple) else (kind, False)
     rows, supports = itemsets, [1] * len(itemsets)
     if as_array or not itemsets:
-        rows = _rows(itemsets, len(itemsets[0]) if itemsets else 2)
+        rows = _rows(itemsets, len(itemsets[0]) if itemsets else 1)
     if as_array:
         supports = np.ones(len(rows), dtype=np.int64)
     return kind(*_body(kind, rows, supports), **_HEADERS[kind])
 
 
+def _mask_message(kind, bits, k=2):
+    """A level-k message whose mask is ``bits``, count 1 per set bit; a
+    CountResponse, one count per set bit alone."""
+    arrays = {"mask": bits, "supports": np.ones(np.count_nonzero(bits), dtype=np.int64)}
+    header = dict(_HEADERS[kind], k=k)
+    return kind(*[arrays[name] for name in kind.MASK_BODY], **header)
+
+
 MESSAGE_TYPES = [LocalReport, CountRequest, CountResponse, GlobalResult]
 
-# The types that carry itemsets as rows: every one but CountResponse.
+# The types that carry itemsets as rows at level 1 and as a mask after:
+# every one but CountResponse.
 ROW_TYPES = [LocalReport, CountRequest, GlobalResult]
+
+HEADER_FIELDS = {LocalReport: 2, CountRequest: 1, CountResponse: 2, GlobalResult: 2}
 
 
 def _constructors(kinds):
@@ -284,24 +328,24 @@ class TestMessages:
     @pytest.mark.parametrize("kind", ROW_TYPES)
     @pytest.mark.parametrize(
         "itemsets",
-        [[(A,)], [(A, B), (A, B, C)], [(A,), (A, B)], [(A, B), (C, D, E)]],
+        [[(A, B)], [(A,), (A, B)], [(A,), (A, B, C)], [(A, B), (C, D)]],
     )
     def test_rejects_an_itemset_of_another_length(self, kind, itemsets):
         # numpy refuses a ragged list; the message, rows of one other length.
-        with pytest.raises(ValueError, match="level-2 message|inhomogeneous"):
+        with pytest.raises(ValueError, match="level-1 message|inhomogeneous"):
             _message(kind, itemsets)
 
     @pytest.mark.parametrize("kind", _constructors(ROW_TYPES))
-    @pytest.mark.parametrize("itemsets", [[(A,)], [(A, B, C), (A, B, D)]])
+    @pytest.mark.parametrize("itemsets", [[(A, B)], [(A, B, C), (A, B, D)]])
     def test_rejects_rows_of_another_width(self, kind, itemsets):
         # A ragged list is no array; rows of one wrong width are refused alike.
-        with pytest.raises(ValueError, match="level-2 message"):
+        with pytest.raises(ValueError, match="level-1 message"):
             _message(kind, itemsets)
 
     @pytest.mark.parametrize("kind", _constructors(ROW_TYPES))
     @pytest.mark.parametrize(
         "itemsets",
-        [[(A, C), (A, B)], [(A, B), (A, B)], [(B, 2**40), (B, -1)], [(-1, A), (-2, A)]],
+        [[(C,), (B,)], [(A,), (A,)], [(2**40,), (-1,)], [(-1,), (-2,)]],
     )
     def test_rejects_unsorted_or_repeated_itemsets(self, kind, itemsets):
         with pytest.raises(ValueError, match="sorted and duplicate-free"):
@@ -311,16 +355,15 @@ class TestMessages:
     def test_canonical_size_counts_every_entry(self, kind):
         # A CountResponse carries counts and no ids, a CountRequest ids and
         # no counts.
-        itemsets = [(A, B), (A, 300), (B, 2**40)]
-        header = {LocalReport: 2, CountRequest: 1, CountResponse: 2, GlobalResult: 2}
+        itemsets = [(A,), (300,), (2**40,)]
         id_bytes = 0 if kind[0] is CountResponse else 4
         count_bytes = 0 if kind[0] is CountRequest else 8
-        expected = 8 * header[kind[0]] + sum(id_bytes * len(x) + count_bytes for x in itemsets)
+        expected = 8 * HEADER_FIELDS[kind[0]] + sum(id_bytes + count_bytes for _ in itemsets)
         assert canonical_size(_message(kind, itemsets)) == expected
-        assert canonical_size(_message(kind, [])) == 8 * header[kind[0]]
+        assert canonical_size(_message(kind, [])) == 8 * HEADER_FIELDS[kind[0]]
 
     @pytest.mark.parametrize("kind", MESSAGE_TYPES)
-    @pytest.mark.parametrize("itemsets", [[], [(-5, 3), (A, B), (A, 300), (B, 2**40)]])
+    @pytest.mark.parametrize("itemsets", [[], [(-5,), (A,), (300,), (2**40,)]])
     def test_constructors_agree(self, kind, itemsets):
         # A list of tuples and an int64 array give one message.
         by_tuples, by_rows = _message(kind, itemsets), _message((kind, True), itemsets)
@@ -340,15 +383,19 @@ class TestMessages:
             assert all(type(i) is int for x in view for i in x)
 
     def test_array_constructor_keeps_read_only_views(self):
-        rows = np.array([(A, B), (A, C)], dtype=np.int64)
+        rows = np.array([(A,), (C,)], dtype=np.int64)
         supports = np.array([4, 5], dtype=np.int64)
-        msg = LocalReport(rows, supports, site_id=1, k=2)
+        msg = LocalReport(rows, supports, site_id=1, k=1)
         assert np.shares_memory(msg.rows, rows) and np.shares_memory(msg.supports, supports)
         assert not msg.rows.flags.writeable and not msg.supports.flags.writeable
         with pytest.raises(AttributeError, match="immutable"):
             msg.k = 3
-        assert msg != LocalReport(rows, supports + 1, site_id=1, k=2)
-        assert hash(msg) == hash(report(site_id=1, k=2, entries=pairs(msg)))
+        assert msg != LocalReport(rows, supports + 1, site_id=1, k=1)
+        assert hash(msg) == hash(report(site_id=1, k=1, entries=pairs(msg)))
+        bits = np.array([True, False, True])
+        masked = LocalReport(bits, supports, site_id=1, k=2)
+        assert np.shares_memory(masked.mask, bits) and not masked.mask.flags.writeable
+        assert masked != msg and masked == LocalReport(bits.tolist(), [4, 5], site_id=1, k=2)
 
     @pytest.mark.parametrize("kind", MESSAGE_TYPES)
     @pytest.mark.parametrize("n_rows", [0, 1, 2])
@@ -359,31 +406,54 @@ class TestMessages:
             kind(*_body(kind, rows, [3] * n_rows), **dict(_HEADERS[kind], k=0))
 
     def test_array_constructor_wants_one_count_per_itemset(self):
-        rows = np.array([(A, B), (A, C)], dtype=np.int64)
+        rows = np.array([(A,), (C,)], dtype=np.int64)
         with pytest.raises(ValueError, match="one count per itemset"):
-            GlobalResult(rows, np.ones(3, np.int64), k=2, continue_flag=False)
-        with pytest.raises(TypeError, match="fields"):
-            CountRequest(rows, np.ones(2, np.int64), k=2)
-        with pytest.raises(TypeError, match="fields"):
+            GlobalResult(rows, np.ones(3, np.int64), k=1, continue_flag=False)
+        with pytest.raises(ValueError, match="one count per itemset"):
+            LocalReport(np.array([True, False, True]), np.ones(3, np.int64), site_id=0, k=2)
+        with pytest.raises(TypeError, match="body"):
+            CountRequest(rows, np.ones(2, np.int64), k=1)
+        with pytest.raises(TypeError, match="body"):
             CountResponse(rows, np.ones(2, np.int64), site_id=0, k=2)
+        with pytest.raises(TypeError, match="body"):
+            GlobalResult(np.ones(2, dtype=bool), np.ones(2, np.int64), k=2, continue_flag=True)
         with pytest.raises(ValueError, match="one count per itemset"):
             CountResponse(np.ones((2, 1), np.int64), site_id=0, k=2)
 
+    @pytest.mark.parametrize("kind", ROW_TYPES)
+    @pytest.mark.parametrize("bits", [[1, 0], [[True]], np.ones((1, 2), dtype=bool)])
+    def test_mask_is_a_boolean_vector(self, kind, bits):
+        with pytest.raises(ValueError, match="1-d boolean"):
+            _mask_message(kind, bits)
+
     @pytest.mark.parametrize("kind", MESSAGE_TYPES)
-    @pytest.mark.parametrize("itemsets", [[], [(A, B)], [(0, 7), (A, 2**32 - 1), (B, C)]])
+    @pytest.mark.parametrize("itemsets", [[], [(A,)], [(0,), (A,), (2**32 - 1,)]])
     def test_encoding_round_trips_at_the_canonical_size(self, kind, itemsets):
         msg = _message((kind, True), itemsets)
         data = encode(msg)
         assert type(data) is bytes and len(data) == canonical_size(msg)
         assert decode(kind, data) == msg
 
+    @pytest.mark.parametrize("kind", MESSAGE_TYPES)
+    @pytest.mark.parametrize("n_candidates", [0, 1, 7, 8, 9, 13, 16, 4950])
+    def test_mask_encoding_round_trips_at_the_canonical_size(self, kind, n_candidates):
+        # A mask takes ceil(|C_k| / 8) bytes, none at all when C_k is empty.
+        rng = np.random.default_rng(n_candidates)
+        for bits in (np.zeros(n_candidates), np.ones(n_candidates), rng.random(n_candidates) < 0.3):
+            msg = _mask_message(kind, bits.astype(bool), k=3)
+            data = encode(msg)
+            mask_bytes = -(-n_candidates // 8) if kind is not CountResponse else 0
+            counts = np.count_nonzero(bits) if kind in (LocalReport, CountResponse) else 0
+            assert len(data) == canonical_size(msg) == 8 * HEADER_FIELDS[kind] + mask_bytes + 8 * counts
+            assert decode(kind, data, n_candidates) == msg
+
     def test_encoding_layout(self):
         # header fields as little-endian int64, then uint32 ids row by row,
         # then int64 counts
-        msg = report(site_id=3, k=2, entries=(((A, B), 7), ((A, 2**32 - 1), -2)))
-        ids, counts = [A, B, A, 2**32 - 1], [7, -2]
+        msg = report(site_id=3, k=1, entries=(((A,), 7), ((2**32 - 1,), -2)))
+        ids, counts = [A, 2**32 - 1], [7, -2]
         expected = b"".join(
-            [(3).to_bytes(8, "little"), (2).to_bytes(8, "little")]
+            [(3).to_bytes(8, "little"), (1).to_bytes(8, "little")]
             + [i.to_bytes(4, "little") for i in ids]
             + [n.to_bytes(8, "little", signed=True) for n in counts]
         )
@@ -391,6 +461,35 @@ class TestMessages:
         result = global_result(k=1, frequent=(((A,), 4),), continue_flag=False)
         assert encode(result)[8:16] == bytes(8)
         assert decode(GlobalResult, encode(result)).continue_flag is False
+
+    def test_mask_encoding_layout(self):
+        # From level 2: the header, the mask least significant bit first in
+        # whole bytes, then one int64 count per set bit.
+        bits = np.zeros(10, dtype=bool)
+        bits[[0, 3, 9]] = True
+        msg = LocalReport(bits, np.array([7, 8, -2]), site_id=3, k=2)
+        expected = b"".join(
+            [(3).to_bytes(8, "little"), (2).to_bytes(8, "little"), bytes([0b1001, 0b10])]
+            + [n.to_bytes(8, "little", signed=True) for n in (7, 8, -2)]
+        )
+        assert encode(msg) == expected
+        result = GlobalResult(bits, k=2, continue_flag=True)
+        assert encode(result) == (2).to_bytes(8, "little") + (1).to_bytes(8, "little") + bytes([0b1001, 0b10])
+
+    def test_decoding_a_mask_needs_c_k(self):
+        bits = np.zeros(10, dtype=bool)
+        bits[[0, 9]] = True
+        data = encode(LocalReport(bits, np.array([7, 8]), site_id=3, k=2))
+        with pytest.raises(ValueError, match=r"needs \|C_2\|"):
+            decode(LocalReport, data)
+        # Another |C_2| reads the bits past it, or the counts, wrong.
+        with pytest.raises(ValueError, match="sets a bit past them"):
+            decode(LocalReport, data, 9)
+        with pytest.raises(ValueError, match=f"{len(data)} bytes hold no LocalReport"):
+            decode(LocalReport, data, 24)
+        with pytest.raises(ValueError, match=f"{len(data) - 1} bytes hold no LocalReport"):
+            decode(LocalReport, data[:-1], 10)
+        assert decode(CountResponse, encode(CountResponse([5], site_id=0, k=2))).supports.tolist() == [5]
 
     @pytest.mark.parametrize("item", [-1, 2**32, 2**40])
     def test_encoding_rejects_ids_outside_uint32(self, item):
@@ -451,7 +550,7 @@ class TestLocalPrune:
                 continue_flag=True,
             )
         )
-        cands = itemsets(site.local_candidates(2))
+        cands = counted(site, 2)
         assert local_prune(cands, dict(pairs(site.reported)), site.site_threshold) == cands
 
 
@@ -570,9 +669,10 @@ class TestCenterSite:
         # L2 = {AB} alone clears continue_flag; AC and BC are not frequent,
         # so no level-3 report may yield ABC
         center = CenterSite([10, 10], Fraction(1, 2))
-        for k, itemsets in ((1, [(A,), (B,), (C,)]), (2, [(A, B)])):
-            entries = [(x, 5) for x in itemsets]
-            center.aggregate([report(site_id=i, k=k, entries=entries) for i in (0, 1)])
+        for k, frequent in ((1, [(A,), (B,), (C,)]), (2, [(A, B)])):
+            entries = [(x, 5) for x in frequent]
+            candidates = join_rows(center.frequent)[0] if k > 1 else None
+            center.aggregate([report(i, k, entries, candidates) for i in (0, 1)])
             result = center.finalize([])
         assert not result.continue_flag
         reports = [report(site_id=i, k=3, entries=(((A, B, C), 5),)) for i in (0, 1)]
@@ -744,22 +844,34 @@ class TestCenterSite:
     @pytest.mark.parametrize(
         "levels, rogue",
         [
-            # (3,) was never frequent, yet both sites report (1, 3)
-            ([[(1,), (2,)]], (1, 3)),
-            # (1, 2) and (1, 3) are in L2, but (2, 3) is not
-            ([[(1,), (2,), (3,), (4,)], [(1, 2), (1, 3), (1, 4)]], (1, 2, 3)),
+            # (3,) is frequent but not heavy at site 0, which reports (1, 3)
+            ([[(1,), (2,), (3,)]], (1, 3)),
+            # (2, 3) is in L2 but not heavy at site 0, which reports (1, 2, 3)
+            ([[(1,), (2,), (3,), (4,)], [(1, 2), (1, 3), (2, 3)]], (1, 2, 3)),
         ],
     )
     def test_report_outside_the_last_result_rejected(self, levels, rogue):
-        # 10-row sites at minsup 1/2: a count of 5 at both sites is frequent
+        # A site names an itemset by its bit in C_k, so it cannot name one
+        # outside the join of the last result; each (k-1)-subset of a bit it
+        # sets must also be heavy there. 10-row sites at minsup 1/2: both
+        # sites report each level's itemsets with count 5, but the last one
+        # only site 1 reports, with count 10, and site 0 answers 0 for it.
         center = CenterSite([10, 10], Fraction(1, 2))
         for k, frequent in enumerate(levels, start=1):
-            entries = [(x, 5) for x in frequent]
-            center.aggregate([report(site_id=i, k=k, entries=entries) for i in (0, 1)])
-            assert itemsets(center.finalize([]).rows) == frequent
+            candidates = join_rows(center.frequent)[0] if k > 1 else None
+            *shared, lone = [(x, 5) for x in frequent]
+            reports = [
+                report(0, k, shared, candidates),
+                report(1, k, shared + [(lone[0], 10)], candidates),
+            ]
+            _, _, requests = center.aggregate(reports)
+            assert list(requests) == [0]
+            center.finalize([response(site_id=0, k=k, counts=[0])])
+            assert itemsets(center.frequent) == frequent
         k = len(rogue)
-        reports = [report(site_id=i, k=k, entries=((rogue, 5),)) for i in (0, 1)]
-        what = f"site 0 reported a subset outside level {k - 1}'s result in itemset {rogue}"
+        candidates = join_rows(center.frequent)[0]
+        reports = [report(i, k, ((rogue, 5),), candidates) for i in (0, 1)]
+        what = f"site 0 reported a subset it did not have heavy at level {k - 1} in itemset {rogue}"
         error = re.escape(f"{what} at level {k}")
         with pytest.raises(ProtocolError, match=error):
             center.aggregate(reports)
@@ -787,12 +899,69 @@ class TestDelivery:
 
         def relevel(src, dst, msg):
             if isinstance(msg, CountRequest):
-                return remade(msg, rows=np.empty((0, msg.k + 1), dtype=np.int64), k=msg.k + 1)
+                return remade(msg, mask=np.zeros(0, dtype=bool), k=msg.k + 1)
             return msg
 
         error = "site 0: count request for level 2 during level 1"
         with delivering(relevel), pytest.raises(ProtocolError, match=error):
             ImprovedRun(parts, "2/3").run()
+
+
+class TestMutatedMasks:
+    """Mask entries of the mutation catalogue, on the market run over two
+    sites: each changes one level-2 message in flight, and its receiver must
+    refuse it. C_2 is the 6 pairs of L_1 = ABCE. Site 0 (ABC, ABDE) has A
+    and B heavy and reports AB; site 1 (ACE) has A, C and E heavy and
+    reports AC, AE and CE; each is polled for the other's pairs."""
+
+    @staticmethod
+    def refusal(kind, route, change, market_db):
+        """The ProtocolError text when the level-2 ``kind`` message sent
+        along ``route``, a (src, dst) pair, is replaced in flight by
+        ``change(msg)``."""
+        parts = partition(market_db, PartitionSpec(n_sites=2))
+
+        def mutate(src, dst, msg):
+            if isinstance(msg, kind) and msg.k == 2 and (src, dst) == route:
+                return change(msg)
+            return msg
+
+        with delivering(mutate), pytest.raises(ProtocolError) as refused:
+            ImprovedRun(parts, "2/3").run()
+        return str(refused.value)
+
+    @pytest.mark.parametrize("extra", [[False], [], [True, False]])
+    def test_report_mask_of_another_length(self, market_db, extra):
+        # Site 0's report, cut short or grown by unset or set bits, each set
+        # bit with a count inside site 0's bounds [2, 2].
+        def change(msg):
+            bits = np.append(msg.mask, extra) if extra else msg.mask[:-1]
+            supports = np.append(msg.supports, [2] * sum(extra))
+            return remade(msg, mask=bits, supports=supports[: np.count_nonzero(bits)])
+
+        n = 6 + (len(extra) if extra else -1)
+        error = self.refusal(LocalReport, ("site:0", "center"), change, market_db)
+        assert error == f"site 0 to the center: a LocalReport masking {n} itemsets at level 2, where C_2 holds 6"
+
+    @pytest.mark.parametrize("kind, dst", [(CountRequest, "site:0"), (GlobalResult, "site:1")])
+    def test_site_refuses_a_mask_of_another_length(self, market_db, kind, dst):
+        def change(msg):
+            return remade(msg, mask=np.append(msg.mask, False))
+
+        error = self.refusal(kind, ("center", dst), change, market_db)
+        site = dst.removeprefix("site:")
+        assert error == f"site {site}: a {kind.__name__} masking 7 itemsets at level 2, where C_2 holds 6"
+
+    def test_report_of_an_itemset_with_a_subset_not_heavy_there(self, market_db):
+        # Site 0 adds AC, count 2, inside its bounds [2, 2]: but C is not
+        # heavy at site 0, so site 0 cannot have counted AC.
+        def change(msg):
+            bits = msg.mask.copy()
+            bits[1] = True
+            return remade(msg, mask=bits, supports=[2, 2])
+
+        error = self.refusal(LocalReport, ("site:0", "center"), change, market_db)
+        assert error == "site 0 reported a subset it did not have heavy at level 1 in itemset (1, 3) at level 2"
 
 
 class TestImprovedRun:
@@ -872,11 +1041,15 @@ class TestImprovedRun:
             (sum(rec.k == k for rec in network), sum(rec.bytes for rec in network if rec.k == k))
             for k in (1, 2, 3)
         ]
-        assert per_level == [(4, 152), (4, 168), (2, 32)]
-        assert (len(network), sum(rec.bytes for rec in network)) == (10, 352)
+        # Level 2 masks C_2, the 6 pairs of ABCE, in one byte: site 1's
+        # report 16 + 1 + 3 * 8, the request 8 + 1, the answer 16 + 8 and the
+        # result 16 + 1 bytes. Site 0's exchanges with the center add
+        # 25 + 9 + 40 + 17, so level 2 takes 182 bytes.
+        assert per_level == [(4, 152), (4, 91), (2, 32)]
+        assert (len(network), sum(rec.bytes for rec in network)) == (10, 275)
         assert [m.k for m in run.metrics] == [1, 2, 3]
         assert sum(m.messages_sent for m in run.metrics) == len(run.log.trace) == 20
-        assert sum(m.payload_bytes for m in run.metrics) == 704
+        assert sum(m.payload_bytes for m in run.metrics) == 550
 
     def test_run_twice_rejected(self, market_db):
         parts = partition(market_db, PartitionSpec(n_sites=2))
