@@ -5,22 +5,20 @@ every one goes through ``MessageLog.send``, which returns the message the
 receiver acts on; a real transport replaces that one method and leaves the
 algorithms untouched. A message is columnar and is about m level-k itemsets.
 
-At level 1 a LocalReport or GlobalResult carries them as the rows of a
-read-only (m, 1) int64 array ``rows`` in strictly rising order, with their
-counts as the read-only int64 vector ``supports``, and a CountRequest the
-rows alone. From level 2 on, every party can compute the level's candidate
-list C_k = join(L_{k-1}) from the last result, so these messages name their
-itemsets by a read-only boolean ``mask`` over C_k instead: a LocalReport is
-the mask and one count per set bit, a CountRequest and a GlobalResult the
-mask alone (the center keeps the global counts). A CountResponse carries the
-counts alone at every level, in the order of the request it answers, since
-the center already holds those itemsets. A message is built from its arrays
-and its header fields, as in ``LocalReport(rows, supports, site_id=0, k=1)``,
+Every party computes the level's candidate list C_k from what it already
+holds: every item of the run's universe at level 1, then the join of the
+last result. So a message names its itemsets by a read-only boolean
+``mask`` over C_k, at every level: a LocalReport is the mask and one count
+per set bit, as the read-only int64 vector ``supports``, a CountRequest and
+a GlobalResult the mask alone (the center keeps the global counts). A
+CountResponse carries the counts alone, in the order of the request it
+answers, since the center already holds those itemsets. A message is built
+from its arrays and its header fields, as in
 ``LocalReport(mask, supports, site_id=0, k=2)`` or
 ``CountResponse(supports, site_id=0, k=2)``. ``encode`` writes a message in
-the canonical encoding (8 bytes per header field, 4 per item id, one bit per
-C_k row rounded up to a byte, 8 per count) and ``decode`` reads it back, so
-byte metrics are real, measured bytes and implementation-independent.
+the canonical encoding (8 bytes per header field, one bit per C_k row
+rounded up to a byte, 8 per count) and ``decode`` reads it back, so byte
+metrics are real, measured bytes and implementation-independent.
 """
 
 from __future__ import annotations
@@ -34,9 +32,9 @@ import numpy as np
 
 
 def _check_sorted(rows: np.ndarray, k: int) -> None:
-    """Every itemset of a level-k message has k items, and the rows are in
-    strictly rising lexicographic order; with one length, that is the
-    (length, lex) order."""
+    """Every row of ``rows`` has k items, and the rows are in strictly
+    rising lexicographic order; with one length, that is the (length, lex)
+    order. Kept for bench/tracer.py; no message carries rows."""
     if rows.ndim != 2 or rows.shape[1] != k:
         raise ValueError(f"a level-{k} message carries only {k}-itemsets")
     # A row follows its neighbour iff it is greater in the first column where
@@ -54,13 +52,11 @@ def read_only(a: np.ndarray) -> np.ndarray:
 
 class _Columnar:
     """The body every message shares: the header fields named in ``HEADER``
-    (``k`` among them) and the arrays named in ``BODY`` at level 1 and in
-    ``MASK_BODY`` from level 2 on; ``body`` names the message's own. Messages
-    are immutable and compare by value."""
+    (``k`` among them) and the arrays named in ``BODY``, in encoding order.
+    Messages are immutable and compare by value."""
 
     HEADER: tuple[str, ...]
-    BODY = ("rows", "supports")
-    MASK_BODY = ("mask", "supports")
+    BODY = ("mask", "supports")
 
     def __init__(self, *body, **header) -> None:
         """The message with the ``HEADER`` fields given by keyword and its
@@ -68,40 +64,30 @@ class _Columnar:
         read-only views of them."""
         if sorted(header) != sorted(self.HEADER):
             raise TypeError(f"{type(self).__name__} has the header fields {self.HEADER}")
-        k = header["k"]
-        if k < 1:
-            raise ValueError(f"a message's level is at least 1, got {k}")
-        names = self.body_at(k)
-        if len(body) != len(names):
-            raise TypeError(f"a level-{k} {type(self).__name__} has the body {names}")
-        fields = dict(zip(names, body))
-        if "rows" in fields:
-            fields["rows"] = np.asarray(fields["rows"], dtype=np.int64)
-            _check_sorted(fields["rows"], k)
+        if header["k"] < 1:
+            raise ValueError(f"a message's level is at least 1, got {header['k']}")
+        if len(body) != len(self.BODY):
+            raise TypeError(f"a {type(self).__name__} has the body {self.BODY}")
+        fields = dict(zip(self.BODY, body))
         if "mask" in fields:
             fields["mask"] = np.asarray(fields["mask"])
             if fields["mask"].dtype != bool or fields["mask"].ndim != 1:
                 raise ValueError("a mask is a 1-d boolean array")
         if "supports" in fields:
             fields["supports"] = np.asarray(fields["supports"], dtype=np.int64)
-        self.__dict__.update(header, body=names, **{f: read_only(a) for f, a in fields.items()})
+        self.__dict__.update(header, **{f: read_only(a) for f, a in fields.items()})
         if "supports" in fields and self.supports.shape != (self.n_itemsets,):
             raise ValueError("a message carries one count per itemset")
 
-    @classmethod
-    def body_at(cls, k: int) -> tuple[str, ...]:
-        """The names of a level-k message's arrays, in encoding order."""
-        return cls.BODY if k == 1 else cls.MASK_BODY
-
     @property
     def n_itemsets(self) -> int:
-        """The number of itemsets the message is about: its rows, the set
-        bits of its mask, or its counts, whichever comes first."""
-        first = getattr(self, self.body[0])
+        """The number of itemsets the message is about: the set bits of its
+        mask, or its counts, whichever comes first."""
+        first = getattr(self, self.BODY[0])
         return int(np.count_nonzero(first)) if first.dtype == bool else len(first)
 
     def _names(self) -> tuple[str, ...]:
-        return self.HEADER + self.body
+        return self.HEADER + self.BODY
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, f) for f in self._names())
@@ -132,16 +118,12 @@ class CountRequest(_Columnar):
     """Center asks a site for the local counts of the given itemsets."""
 
     HEADER = ("k",)
-    BODY = ("rows",)
-    MASK_BODY = ("mask",)
+    BODY = ("mask",)
 
     @functools.cached_property
     def itemsets(self) -> tuple:
-        """The requested itemsets, made on first use: tuples of ids at level
-        1 and their positions in C_k from level 2 on. Kept for
-        bench/tracer.py, which reads only their number."""
-        if self.k == 1:
-            return tuple(map(tuple, self.rows.tolist()))
+        """The positions in C_k of the requested itemsets, made on first
+        use. Kept for bench/tracer.py, which reads only their number."""
         return tuple(np.flatnonzero(self.mask).tolist())
 
 
@@ -150,15 +132,15 @@ class CountResponse(_Columnar):
     in the request's order."""
 
     HEADER = ("site_id", "k")
-    BODY = MASK_BODY = ("supports",)
+    BODY = ("supports",)
 
 
 class GlobalResult(_Columnar):
-    """Globally frequent level-k itemsets, with global counts at level 1;
-    continue_flag False tells sites the level-wise loop is over."""
+    """Globally frequent level-k itemsets; continue_flag False tells sites
+    the level-wise loop is over."""
 
     HEADER = ("k", "continue_flag")
-    MASK_BODY = ("mask",)
+    BODY = ("mask",)
 
 
 ProtocolMessage = Union[LocalReport, CountRequest, CountResponse, GlobalResult]
@@ -171,43 +153,35 @@ def _mask_bytes(n_candidates: int) -> int:
 
 def canonical_size(msg: ProtocolMessage) -> int:
     """Canonical payload size in bytes, ``len(encode(msg))``: 8 per header
-    field, then 4 per item id, a bit per C_k row rounded up to a whole byte,
-    and 8 per count, each for what the message carries."""
+    field, then a bit per C_k row rounded up to a whole byte and 8 per
+    count, each for what the message carries."""
     size = 8 * len(msg.HEADER)
-    if "rows" in msg.body:
-        size += 4 * msg.rows.size
-    if "mask" in msg.body:
+    if "mask" in msg.BODY:
         size += _mask_bytes(len(msg.mask))
-    if "supports" in msg.body:
+    if "supports" in msg.BODY:
         size += 8 * len(msg.supports)
     return size
 
 
 def encode(msg: ProtocolMessage) -> bytes:
     """The canonical encoding of ``msg``: its header fields as little-endian
-    int64, then its item ids as little-endian uint32, row by row, or its
-    mask, least significant bit first, in ceil(|C_k| / 8) bytes whose unused
-    high bits are 0, then its counts as little-endian int64. No field holds
-    a length: each follows from the header, the mask and |C_k|. An id
-    outside [0, 2**32) raises ValueError."""
+    int64, then its mask, least significant bit first, in ceil(|C_k| / 8)
+    bytes whose unused high bits are 0, then its counts as little-endian
+    int64. No field holds a length: each follows from the header, the mask
+    and |C_k|."""
     parts = [np.array([getattr(msg, f) for f in msg.HEADER], dtype="<i8")]
-    if "rows" in msg.body:
-        rows = msg.rows
-        if rows.size and (rows.min() < 0 or rows.max() >= 1 << 32):
-            raise ValueError("item ids outside [0, 2**32) have no canonical encoding")
-        parts.append(rows.astype("<u4"))
-    if "mask" in msg.body:
+    if "mask" in msg.BODY:
         parts.append(np.packbits(msg.mask, bitorder="little"))
-    if "supports" in msg.body:
+    if "supports" in msg.BODY:
         parts.append(msg.supports.astype("<i8"))
     return b"".join(part.tobytes() for part in parts)
 
 
 def decode(cls: type, data: bytes, n_candidates: int | None = None) -> ProtocolMessage:
     """The message of type ``cls`` that ``encode`` wrote as ``data``. A
-    message that carries a mask, from level 2 on, needs ``n_candidates``,
-    the |C_k| its receiver computed. Data of a length that holds no whole
-    message, or a mask with a bit set past |C_k|, raises ValueError."""
+    message that carries a mask needs ``n_candidates``, the |C_k| its
+    receiver computed. Data of a length that holds no whole message, or a
+    mask with a bit set past |C_k|, raises ValueError."""
     head, partial = 8 * len(cls.HEADER), ValueError(f"{len(data)} bytes hold no {cls.__name__}")
     if len(data) < head:
         raise partial
@@ -217,8 +191,8 @@ def decode(cls: type, data: bytes, n_candidates: int | None = None) -> ProtocolM
     k = header["k"]
     if k < 1:
         raise partial
-    names, body, offset = cls.body_at(k), [], head
-    if "mask" in names:
+    body, offset, m = [], head, (len(data) - head) // 8
+    if "mask" in cls.BODY:
         if n_candidates is None:
             raise ValueError(f"decoding a level-{k} {cls.__name__} needs |C_{k}|")
         n_bytes = _mask_bytes(n_candidates)
@@ -231,18 +205,9 @@ def decode(cls: type, data: bytes, n_candidates: int | None = None) -> ProtocolM
         body.append(bits[:n_candidates].astype(bool))
         offset += n_bytes
         m = int(np.count_nonzero(body[0]))
-        if len(data) - offset != 8 * m * ("supports" in names):
-            raise partial
-    else:
-        per_item = 4 * k * ("rows" in names) + 8 * ("supports" in names)
-        m, rest = divmod(len(data) - head, per_item)
-        if rest:
-            raise partial
-    if "rows" in names:
-        ids = np.frombuffer(data, dtype="<u4", count=m * k, offset=offset)
-        body.append(ids.astype(np.int64).reshape(m, k))
-        offset += 4 * m * k
-    if "supports" in names:
+    if len(data) - offset != 8 * m * ("supports" in cls.BODY):
+        raise partial
+    if "supports" in cls.BODY:
         body.append(np.frombuffer(data, dtype="<i8", count=m, offset=offset).astype(np.int64))
     return cls(*body, **header)
 

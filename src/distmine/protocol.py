@@ -7,14 +7,15 @@ broadcasts each level's globally frequent itemsets. Message traffic per
 level stays within 4n for n sites: n reports, at most n batched count
 requests, their responses, and n result broadcasts.
 
-Level 1 names itemsets by their ids. From level 2 on, every party joins the
-last result into the same candidate list C_k, so a report, a request and a
-result name their itemsets by a bit mask over C_k, and a site's own
-candidates are the rows of C_k all of whose (k-1)-subsets are heavy there.
-A response carries only counts, in the order of its request, and a result
-from level 2 on carries no counts: the center keeps them and writes the
-mining result. Sites and center hold a level's itemsets as int64 row arrays
-and masks over them, so no step loops over itemsets.
+Every party is given the run's universe U, as the center is given the site
+sizes, and computes the same candidate list C_k: every item 0..U-1 at
+level 1, then the join of the last result. So a report, a request and a
+result name their itemsets by a bit mask over C_k at every level, and a
+site's own candidates are the rows of C_k all of whose (k-1)-subsets are
+heavy there. A response carries only counts, in the order of its request,
+and a result carries no counts: the center keeps them and writes the mining
+result. Sites and center hold a level's itemsets as int64 row arrays and
+masks over them, so no step loops over itemsets.
 """
 
 from __future__ import annotations
@@ -81,6 +82,16 @@ def _refuse(msg: LocalReport | CountResponse, rows: np.ndarray, bad: np.ndarray,
         raise ProtocolError(f"site {msg.site_id} {what.format(count)} {x!r} at level {msg.k}")
 
 
+def candidate_list(k: int, universe: int, frequent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """C_k and, for each of its rows, where its (k-1)-subsets are in
+    ``frequent``, the rows of the last result: every item below
+    ``universe`` at k=1, which has no subsets to look up, and
+    ``join_rows(frequent)`` after."""
+    if k == 1:
+        return np.arange(universe, dtype=np.int64)[:, None], np.empty((universe, 0), dtype=np.intp)
+    return join_rows(frequent)
+
+
 def _check_mask(route: str, msg, candidates: np.ndarray) -> None:
     """A level-k mask has one bit per row of C_k, ``candidates``; ``route``
     names where ``msg`` went in the error."""
@@ -99,35 +110,32 @@ class LocalSite:
     order, and each step is a few numpy calls over a whole level. The site
     keeps ``frequent``, the rows of the last GlobalResult, with ``heavy``,
     the mask of those it reported; ``candidates``, the open level's
-    candidate list (every item at level 1, then C_k = join(frequent)), with
+    candidate list C_k (``candidate_list`` over the run's ``universe``), with
     ``counted``, the mask of those it counted; and ``reported``, the last
-    report sent, whose mask from level 2 on is over ``candidates``."""
+    report sent, whose mask is over ``candidates``."""
 
-    def __init__(self, site_id: int, part: TransactionDb, minsup: Fraction) -> None:
+    def __init__(self, site_id: int, part: TransactionDb, minsup: Fraction, universe: int) -> None:
         if part.size == 0:
             raise ValueError(f"site {site_id}: empty partition")
+        if part.universe > universe:
+            raise ValueError(f"site {site_id}: items outside the run's universe of {universe}")
         self.site_id = site_id
         self.scan_counter = ScanCounter()
         self.matrix = LMatrix.from_db(part, self.scan_counter)
         self.size = part.size
         self.site_threshold = threshold(minsup, part.size)
-        self.universe = part.universe
+        self.universe = universe
         self.closed = False  # a GlobalResult has closed the reported level
-        nothing = np.empty((0, 1), dtype=np.int64)
-        self.frequent = self.candidates = nothing
+        self.frequent = self.candidates = np.empty((0, 1), dtype=np.int64)
         self.heavy = self.counted = np.empty(0, dtype=bool)
-        self.reported = LocalReport(nothing, nothing[:, 0], site_id=site_id, k=1)
+        self.reported = LocalReport(self.counted, np.empty(0, dtype=np.int64), site_id=site_id, k=1)
 
     def local_candidates(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The level-k candidate list and the mask of those this site counts:
-        every single item at k=1; otherwise C_k, the Apriori join of the last
-        result, and the rows all of whose (k-1)-subsets are heavy here. Those
-        are the join of the heavy itemsets: each is the join of its two
-        subsets that share a prefix."""
-        if k == 1:
-            items = np.arange(self.universe, dtype=np.int64)[:, None]
-            return items, np.ones(len(items), dtype=bool)
-        candidates, subsets = join_rows(self.frequent)
+        """The level-k candidate list C_k and the mask of those this site
+        counts: the rows all of whose (k-1)-subsets are heavy here, so every
+        item at k=1. From level 2 on those are the join of the heavy
+        itemsets: each is the join of its two subsets that share a prefix."""
+        candidates, subsets = candidate_list(k, self.universe, self.frequent)
         return candidates, self.heavy[subsets].all(axis=1)
 
     def build_report(self, k: int) -> LocalReport:
@@ -140,11 +148,8 @@ class LocalSite:
         counted = np.flatnonzero(self.counted)
         counts = self.matrix.count(self.candidates[counted])
         frequent = counts >= self.site_threshold
-        if k == 1:
-            named = self.candidates[counted[frequent]]
-        else:
-            named = np.zeros(len(self.candidates), dtype=bool)
-            named[counted[frequent]] = True
+        named = np.zeros(len(self.candidates), dtype=bool)
+        named[counted[frequent]] = True
         self.closed = False
         self.reported = LocalReport(named, counts[frequent], site_id=self.site_id, k=k)
         return self.reported
@@ -164,12 +169,9 @@ class LocalSite:
             raise ProtocolError(
                 f"site {self.site_id}: count request for closed level {req.k}"
             )
-        if req.k == 1:
-            rows = req.rows
-        else:
-            _check_mask(f"site {self.site_id}", req, self.candidates)
-            rows = self.candidates[req.mask]
-        return CountResponse(self.matrix.count(rows), site_id=self.site_id, k=req.k)
+        _check_mask(f"site {self.site_id}", req, self.candidates)
+        counts = self.matrix.count(self.candidates[req.mask])
+        return CountResponse(counts, site_id=self.site_id, k=req.k)
 
     def update_heavy(self, result: GlobalResult) -> None:
         """Heavy here = globally frequent and reported by this site.
@@ -186,14 +188,10 @@ class LocalSite:
             raise ProtocolError(
                 f"site {self.site_id}: second global result for level {result.k}"
             )
+        _check_mask(f"site {self.site_id}", result, self.candidates)
         self.closed = True
-        if result.k == 1:
-            self.frequent = result.rows
-            self.heavy = np.isin(result.rows[:, 0], self.reported.rows[:, 0], assume_unique=True)
-        else:
-            _check_mask(f"site {self.site_id}", result, self.candidates)
-            self.frequent = self.candidates[result.mask]
-            self.heavy = self.reported.mask[result.mask]
+        self.frequent = self.candidates[result.mask]
+        self.heavy = self.reported.mask[result.mask]
 
 
 class AggregationOutcome(NamedTuple):
@@ -208,19 +206,21 @@ class AggregationOutcome(NamedTuple):
 
 class CenterSite:
     """Combines local reports into global decisions, numbering the levels
-    itself. An open level is the level's candidate list (the reported items
-    at level 1, then C_k = join(frequent)), the sorted rows of it that some
-    site reported and were not pruned, and their (itemsets x sites) count
-    matrix, -1 where a count is not yet known, so a count is bounds-checked
-    before it is stored; every decision is a mask over the matrix. The cells
-    of site i still at -1 are the rows requested from site i, in order, so
-    its answer, counts only, fills them by position. ``frequent`` holds the
-    rows of the last GlobalResult, ``supports`` their global counts and
-    ``heavy`` which sites reported each: every (k-1)-subset of an itemset
-    site i reports at level k must be heavy at site i."""
+    itself. An open level is the level's candidate list C_k
+    (``candidate_list`` over the run's ``universe``), the sorted rows of it
+    that some site reported and were not pruned, and their (itemsets x
+    sites) count matrix, -1 where a count is not yet known, so a count is
+    bounds-checked before it is stored; every decision is a mask over the
+    matrix. The cells of site i still at -1 are the rows requested from site
+    i, in order, so its answer, counts only, fills them by position.
+    ``frequent`` holds the rows of the last GlobalResult, ``supports`` their
+    global counts and ``heavy`` which sites reported each: every
+    (k-1)-subset of an itemset site i reports at level k must be heavy at
+    site i."""
 
-    def __init__(self, site_sizes: list[int], minsup: Fraction) -> None:
+    def __init__(self, site_sizes: list[int], minsup: Fraction, universe: int) -> None:
         self.n_sites = len(site_sizes)
+        self.universe = universe
         self.site_sizes = np.array(site_sizes)
         self.total_size = sum(site_sizes)
         self.global_threshold = threshold(minsup, self.total_size)
@@ -233,9 +233,7 @@ class CenterSite:
 
     def _named(self, select: np.ndarray) -> np.ndarray:
         """The open level's kept rows that ``select`` marks, as a message
-        names them: as rows at level 1, else as a mask over C_k."""
-        if self.level == 1:
-            return self._rows[select]
+        names them: as a mask over C_k."""
         mask = np.zeros(len(self._candidates), dtype=bool)
         mask[self._at[select]] = True
         return mask
@@ -260,29 +258,18 @@ class CenterSite:
             levels = sorted({r.k for r in reports})
             raise ProtocolError(f"reports for levels {levels}, expected level {k}")
         reports = sorted(reports, key=lambda r: r.site_id)
-        if k == 1:
-            # The center does not know the universe: the candidate list is
-            # every item some site reported.
-            ids = [r.rows[:, 0] for r in reports]
-            items = np.sort(np.concatenate(ids))
-            new = np.ones(len(items), dtype=bool)
-            new[1:] = items[1:] != items[:-1]
-            candidates = items[new][:, None]
-            at = [np.searchsorted(candidates[:, 0], i) for i in ids]
-        else:
-            candidates, subsets = join_rows(self.frequent)
-            for r in reports:
-                _check_mask(f"site {r.site_id} to the center", r, candidates)
-            at = [np.flatnonzero(r.mask) for r in reports]
+        candidates, subsets = candidate_list(k, self.universe, self.frequent)
+        for r in reports:
+            _check_mask(f"site {r.site_id} to the center", r, candidates)
+        at = [np.flatnonzero(r.mask) for r in reports]
         counts = np.full((len(candidates), self.n_sites), -1, dtype=np.int64)
         for r, i in zip(reports, at):
             low, high = self.site_thresholds[r.site_id], self.site_sizes[r.site_id]
             bad = (r.supports < low) | (r.supports > high)
             _refuse(r, candidates[i], bad, f"reported count {{}} outside [{low}, {high}] for itemset")
-            if k > 1:
-                bad = ~self.heavy[subsets[i], r.site_id].all(axis=1)
-                what = f"reported a subset it did not have heavy at level {k - 1} in itemset"
-                _refuse(r, candidates[i], bad, what)
+            bad = ~self.heavy[subsets[i], r.site_id].all(axis=1)
+            what = f"reported a subset it did not have heavy at level {k - 1} in itemset"
+            _refuse(r, candidates[i], bad, what)
             counts[i, r.site_id] = r.supports
 
         # Only itemsets some site reported are decided.
@@ -310,7 +297,7 @@ class CenterSite:
         the sum of the site thresholds is at least the global one. The loop
         continues only if the level produced more frequent itemsets than its
         own size k (any (k+1)-itemset needs k+1 frequent k-subsets). The
-        result carries the counts at level 1 only; the center keeps them.
+        result carries no counts; the center keeps them.
         """
         if not self.open:
             raise ProtocolError(f"no open level to finalize after level {self.level}")
@@ -343,8 +330,7 @@ class CenterSite:
         self.frequent, self.supports = self._rows[frequent], totals[frequent]
         self.heavy = self._reported[frequent]
         self.open, self.stopped = False, int(np.count_nonzero(frequent)) <= k
-        body = (self._named(frequent),) + ((self.supports,) if k == 1 else ())
-        return GlobalResult(*body, k=k, continue_flag=not self.stopped)
+        return GlobalResult(self._named(frequent), k=k, continue_flag=not self.stopped)
 
 
 class ImprovedRun:
@@ -361,10 +347,11 @@ class ImprovedRun:
         if not partitions:
             raise ValueError("need at least one partition")
         self.minsup = parse_minsup(minsup)
+        universe = max(p.universe for p in partitions)
         self.sites = [
-            LocalSite(i, part, self.minsup) for i, part in enumerate(partitions)
+            LocalSite(i, part, self.minsup, universe) for i, part in enumerate(partitions)
         ]
-        self.center = CenterSite([s.size for s in self.sites], self.minsup)
+        self.center = CenterSite([s.size for s in self.sites], self.minsup, universe)
         self.log = MessageLog()
         self.metrics: list[RoundMetrics] = []
         self.maxcount_pruned: list[np.ndarray] = []
@@ -398,12 +385,8 @@ class ImprovedRun:
             for site in self.sites:
                 site.update_heavy(send("center", f"site:{site.site_id}", outcome))
 
-            # The distinct candidates counted anywhere: the site lists are
-            # prefixes of one item range at level 1, and C_k after.
-            if k == 1:
-                distinct = max(len(s.counted) for s in self.sites)
-            else:
-                distinct = int(np.count_nonzero(np.logical_or.reduce([s.counted for s in self.sites])))
+            # The distinct candidates of C_k counted anywhere.
+            distinct = int(np.count_nonzero(np.logical_or.reduce([s.counted for s in self.sites])))
             entries = sum(r.n_itemsets for r in reports)
             yield self.center.frequent, self.center.supports, distinct, entries
             if not outcome.continue_flag:

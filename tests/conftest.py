@@ -70,9 +70,8 @@ def local_prune_checks():
     build = LocalSite.build_report
 
     def checked(site, k):
-        reported = site.reported
-        rows = reported.rows if reported.k == 1 else site.candidates[reported.mask]
-        bounds = dict(zip(map(tuple, rows.tolist()), reported.supports.tolist()))
+        rows = site.candidates[site.reported.mask]
+        bounds = dict(zip(map(tuple, rows.tolist()), site.reported.supports.tolist()))
         report = build(site, k)
         if k > 1:
             candidates = list(map(tuple, site.candidates[site.counted].tolist()))
@@ -103,9 +102,8 @@ def delivering(mutate):
 
 def remade(msg, **changes):
     """A message of ``msg``'s type with fresh copies of its arrays and the
-    fields named in ``changes`` replaced; a changed ``k`` takes the body of
-    its level, given in ``changes`` where it differs."""
+    fields named in ``changes`` replaced."""
     fields = {name: getattr(msg, name) for name in msg._names()}
     fields.update(changes)
-    body = [np.array(fields[name]) for name in msg.body_at(fields["k"])]
+    body = [np.array(fields[name]) for name in msg.BODY]
     return type(msg)(*body, **{name: fields[name] for name in msg.HEADER})

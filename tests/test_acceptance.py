@@ -65,8 +65,8 @@ class InstanceRecord:
 @dataclass
 class Corpus:
     records: list = field(default_factory=list)
-    # every message the improved runs delivered, and the |C_k| of its level
-    # (None at level 1), from the join of the run's level k-1 result
+    # every message the improved runs delivered, and the |C_k| of its level:
+    # the run's universe at level 1, then the join of its level k-1 result
     improved_messages: list = field(default_factory=list)
     candidate_counts: list = field(default_factory=list)
     elapsed_s: float = 0.0
@@ -95,7 +95,7 @@ def corpus() -> Corpus:
                     sent = len(corpus.improved_messages)
                     with local_prune_checks() as checks, delivering(corpus.delivered):
                         improved.run()
-                    sizes = [None, None] + [len(join_rows(r)[0]) for r, _ in improved.result.levels]
+                    sizes = [None, db.universe] + [len(join_rows(r)[0]) for r, _ in improved.result.levels]
                     corpus.candidate_counts += [sizes[m.k] for m in corpus.improved_messages[sent:]]
                     cd = CountDistributionRun(parts, minsup)
                     cd.run()

@@ -25,10 +25,7 @@ def bindings(tracer) -> dict:
 
 
 def named(msg) -> set:
-    """The itemsets a report names: id tuples at level 1, and positions in
-    C_k from level 2 on."""
-    if msg.k == 1:
-        return set(map(tuple, msg.rows.tolist()))
+    """The itemsets a report names, as their positions in C_k."""
     return set(np.flatnonzero(msg.mask).tolist())
 
 

@@ -180,7 +180,7 @@ class TestRun:
     @pytest.mark.parametrize(
         "algorithm, digest",
         [
-            ("improved", "0eecdfc75e2ff50c57358a143935c9e3c286d1717dd1884b06f8045e462d25f8"),
+            ("improved", "e08a98aea1c7f69b47c0b7666b6de98b3bf215c4c12e6fc6d9cc92b56edcd6d4"),
             ("cd", "6f23dc7677a3cdef0d321489a4a28b41357d43f02a0e4bb611dc2d05a2d9c253"),
             ("sequential", "b23be5ddd040878e227daedd3b413d5660d2d8f612a260f99db9d1e347abee32"),
         ],
@@ -207,7 +207,7 @@ class TestRun:
         def copy(src, dst, msg):
             delivered = remade(msg)
             assert delivered == msg
-            shared = [np.shares_memory(getattr(delivered, f), getattr(msg, f)) for f in msg.body]
+            shared = [np.shares_memory(getattr(delivered, f), getattr(msg, f)) for f in msg.BODY]
             assert not any(shared)
             copies.append(delivered)
             return delivered
@@ -312,12 +312,11 @@ UNIFORM_DEEP = (
 )  # fmt: skip
 
 # Its (level, messages, bytes) per miner, so that a change to the cost model
-# shows as a change to this table. From level 2 on, improved names itemsets
-# by a mask over C_k (|C_k| = 4950, 2163, 911, 215, 14, 0) and cd sends counts
-# alone.
+# shows as a change to this table. Improved names itemsets by a mask over C_k
+# (|C_k| = 100, 4950, 2163, 911, 215, 14, 0) and cd sends counts alone.
 UNIFORM_DEEP_LEVELS = {
     "improved": [
-        (1, 8, 9728), (2, 16, 27020), (3, 16, 35780), (4, 16, 23664),
+        (1, 8, 3432), (2, 16, 27020), (3, 16, 35780), (4, 16, 23664),
         (5, 16, 6884), (6, 14, 670), (7, 8, 128),
     ],
     "cd": [
@@ -353,10 +352,11 @@ def run_recorded(argv, algorithm: str, db) -> tuple:
     return result, trace, sent
 
 
-# The |C_k| of every level-k mask each run sends, k >= 2: none of 190, 59 and
-# 3 is a multiple of 8, and the market run's last level masks an empty C_3.
+# The |C_k| of every mask each run sends: |C_1| is the run's universe, none
+# of 20, 190, 59 and 3 is a multiple of 8, and the market run's last level
+# masks an empty C_3.
 ENCODED_RUNS = {
-    ("pinned", "improved"): {190, 59, 3},
+    ("pinned", "improved"): {20, 190, 59, 3},
     ("pinned", "cd"): set(),
     ("market", "improved"): {6, 0},
     ("market", "cd"): set(),
@@ -366,21 +366,22 @@ ENCODED_RUNS = {
 @pytest.mark.parametrize("source, algorithm", list(ENCODED_RUNS), ids="-".join)
 def test_every_message_round_trips(source, algorithm):
     # Each message decodes from its encoding to itself, given the |C_k| its
-    # receiver computes by joining the level k-1 result, and its trace
-    # record's bytes are the encoding's length.
+    # receiver computes (the run's universe at level 1, then the join of the
+    # level k-1 result), and its trace record's bytes are the encoding's
+    # length.
     if source == "pinned":
         argv, db = PINNED_RUN, distmine.generate_synthetic(500, 20, 4, seed=4)
     else:
         argv = ("--input", "market.dat", "--sites", "2", "--minsup", "2/3")
         db = distmine.load_fimi(MARKET_FIMI)
     result, trace, sent = run_recorded(argv, algorithm, db)
-    sizes = [None, None] + [len(join_rows(rows)[0]) for rows, _ in result.levels]
+    sizes = [None, db.universe] + [len(join_rows(rows)[0]) for rows, _ in result.levels]
     assert len(sent) == len(trace) > 0
     for msg, rec in zip(sent, trace):
         data = encode(msg)
         assert rec.bytes == len(data) == canonical_size(msg), rec
         assert decode(type(msg), data, sizes[msg.k]) == msg, rec
-    masked = {len(msg.mask) for msg in sent if "mask" in msg.body}
+    masked = {len(msg.mask) for msg in sent if "mask" in msg.BODY}
     assert masked == ENCODED_RUNS[source, algorithm]
 
 
@@ -729,7 +730,7 @@ class TestSweep:
         lines = metrics.read_text().splitlines()
         cut = "".join(line.rsplit(",", 1)[0] + "\n" for line in lines)
         assert hashlib.sha256(cut.encode()).hexdigest() == (
-            "75ea5c8478bb50d080b40160840cb2d287b67b0bee11658d209ccb0971c26e60"
+            "d6c1b5d30c83f164116c8a2aebfc7668f6353345b7d266787e2187c402460c73"
         )
 
     @pytest.mark.parametrize("flag", ["--out", "--trace", "--labels"])

@@ -13,8 +13,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 STDOUT_SHA256 = {
     "01_bitmap_support_counting.py": "cba6290c94164ea8b5f61552105ff57184db6feb117ab325d47662501a85cba9",
     "02_sequential_mining.py": "103ec1d51d0f2c193e5307a0e53d94ff7f4b7dddbcc4e94aad16deb22bfa4a35",
-    "03_distributed_walkthrough.py": "d2be739d69aae4f279fecb568def44b1016f13032694d5f40d0dda3d15b627b2",
-    "04_protocol_vs_baseline.py": "62f126be29f9c0911d671e1ead7098dc2181ac8b30c0ad087faa82df5da4371f",
+    "03_distributed_walkthrough.py": "16a9bbc92252f347777e13c3296ab0571497e100ee5020eb8efbf2d4bb6a485b",
+    "04_protocol_vs_baseline.py": "3963bbe434d78b4248252e552454ab5d5ee7705c9e2514cd8132e42dbcb63fd3",
 }
 
 

@@ -35,10 +35,14 @@ from distmine import (
     sequential_apriori,
 )
 from distmine.messages import _check_sorted, canonical_size, decode, encode
-from distmine.miner import join_rows
-from distmine.protocol import local_prune
+from distmine.protocol import candidate_list, local_prune
 
 TWO_THIRDS = Fraction(2, 3)
+
+# The market run's universe, items 0..5, and its level-1 candidate list C_1,
+# one row per item: every party names level-1 itemsets by a mask over it.
+U = 6
+C1 = np.arange(U, dtype=np.int64)[:, None]
 
 
 def itemsets(rows):
@@ -46,11 +50,16 @@ def itemsets(rows):
     return list(map(tuple, rows.tolist()))
 
 
-def pairs(msg, candidates=None):
-    """A counted message's (itemset, count) pairs, as tuples; from level 2
-    on, its mask is over ``candidates``."""
-    rows = msg.rows if msg.k == 1 else candidates[msg.mask]
-    return tuple(zip(itemsets(rows), msg.supports.tolist()))
+def pairs(msg, candidates):
+    """A counted message's (itemset, count) pairs, as tuples; its mask is
+    over ``candidates``."""
+    return tuple(zip(itemsets(candidates[msg.mask]), msg.supports.tolist()))
+
+
+def totals(center):
+    """The center's last result with the global counts it keeps, as
+    (itemset, count) pairs."""
+    return tuple(zip(itemsets(center.frequent), center.supports.tolist()))
 
 
 def counted(site, k):
@@ -66,9 +75,10 @@ def heavy(site):
 
 def mask(candidates, chosen):
     """The mask over the rows ``candidates`` that marks the ``chosen``
-    itemsets, given as tuples."""
-    chosen = set(chosen)
-    return np.array([x in chosen for x in itemsets(candidates)], dtype=bool)
+    itemsets, given as tuples; each must be a row."""
+    chosen, rows = set(chosen), itemsets(candidates)
+    assert chosen <= set(rows), chosen - set(rows)
+    return np.array([x in chosen for x in rows], dtype=bool)
 
 
 def _rows(itemsets, k):
@@ -82,38 +92,42 @@ def _columns(entries, k):
 
 
 # Messages written as tuples in the tests: each builds the arrays its
-# constructor takes.
+# constructor takes, a mask over C_1 by default.
 def report(site_id, k, entries, candidates=None):
-    """From level 2 on, ``entries`` are named by a mask over the rows
-    ``candidates``, by default the entries' own itemsets."""
-    if k == 1:
-        return LocalReport(*_columns(entries, k), site_id=site_id, k=k)
+    """``entries`` are named by a mask over the rows ``candidates``, by
+    default C_1 at level 1 and the entries' own itemsets after."""
     rows, supports = _columns(entries, k)
-    bits = mask(rows if candidates is None else candidates, itemsets(rows))
-    return LocalReport(bits, supports, site_id=site_id, k=k)
+    if candidates is None:
+        candidates = C1 if k == 1 else rows
+    return LocalReport(mask(candidates, itemsets(rows)), supports, site_id=site_id, k=k)
 
 
-def request(k, itemsets):
-    return CountRequest(_rows(itemsets, k), k=k)
+def request(k, itemsets, candidates=C1):
+    return CountRequest(mask(candidates, itemsets), k=k)
 
 
 def response(site_id, k, counts):
     return CountResponse(np.array(counts, dtype=np.int64), site_id=site_id, k=k)
 
 
-def global_result(k, frequent, continue_flag):
-    return GlobalResult(*_columns(frequent, k), k=k, continue_flag=continue_flag)
+def global_result(k, frequent, continue_flag, candidates=C1):
+    return GlobalResult(mask(candidates, frequent), k=k, continue_flag=continue_flag)
 
 
 @pytest.fixture
 def market_sites(market_db):
+    assert market_db.universe == U
     parts = partition(market_db, PartitionSpec(n_sites=2))
-    return [LocalSite(i, p, TWO_THIRDS) for i, p in enumerate(parts)]
+    return [LocalSite(i, p, TWO_THIRDS, U) for i, p in enumerate(parts)]
 
 
 @pytest.fixture
 def market_center(market_sites):
-    return CenterSite([s.size for s in market_sites], TWO_THIRDS)
+    return CenterSite([s.size for s in market_sites], TWO_THIRDS, U)
+
+
+# The market run's L_1.
+MARKET_L1 = ((A,), (B,), (C,), (E,))
 
 
 class TestLocalSite:
@@ -141,8 +155,9 @@ class TestLocalSite:
         # site 0 holds {ABC, ABDE} with threshold 2; site 1 holds {ACE}, threshold 1
         rep0 = market_sites[0].build_report(1)
         rep1 = market_sites[1].build_report(1)
-        assert pairs(rep0) == (((A,), 2), ((B,), 2))
-        assert pairs(rep1) == (((A,), 1), ((C,), 1), ((E,), 1))
+        assert len(rep0.mask) == len(rep1.mask) == U
+        assert pairs(rep0, C1) == (((A,), 2), ((B,), 2))
+        assert pairs(rep1, C1) == (((A,), 1), ((C,), 1), ((E,), 1))
 
     def test_empty_report_still_produced(self, market_sites):
         site = market_sites[0]
@@ -153,40 +168,40 @@ class TestLocalSite:
         assert rep.mask.tolist() == [False] and pairs(rep, site.candidates) == ()
 
     def test_count_request_roundtrip(self, market_sites):
+        for site in market_sites:
+            site.build_report(1)
         resp0 = market_sites[0].handle_count_request(request(k=1, itemsets=((C,), (D,))))
         assert resp0 == response(site_id=0, k=1, counts=[1, 1])
         resp1 = market_sites[1].handle_count_request(request(k=1, itemsets=((B,),)))
         assert resp1 == response(site_id=1, k=1, counts=[0])
 
     def test_empty_count_request(self, market_sites):
+        market_sites[0].build_report(1)
         resp = market_sites[0].handle_count_request(request(k=1, itemsets=()))
         assert resp == response(site_id=0, k=1, counts=[])
 
     def test_items_outside_local_universe_count_zero(self, market_db):
-        site = LocalSite(0, market_db, TWO_THIRDS)
-        resp = site.handle_count_request(request(k=1, itemsets=((40,),)))
-        assert resp == response(site_id=0, k=1, counts=[0])
+        # The run's universe is 41 items; this site has seen items 1..5 only.
+        site = LocalSite(0, market_db, TWO_THIRDS, 41)
+        c1 = np.arange(41)[:, None]
+        assert pairs(site.build_report(1), c1) == (((A,), 3), ((B,), 2), ((C,), 2), ((E,), 2))
+        resp = site.handle_count_request(request(k=1, itemsets=((D,), (6,), (40,)), candidates=c1))
+        assert resp == response(site_id=0, k=1, counts=[1, 0, 0])
+
+    def test_rejects_items_outside_the_run_universe(self, market_db):
+        with pytest.raises(ValueError, match="site 0: items outside the run's universe of 5"):
+            LocalSite(0, market_db, TWO_THIRDS, 5)
 
     def test_update_heavy_site0(self, market_sites):
         site = market_sites[0]
         site.build_report(1)
-        result = global_result(
-            k=1,
-            frequent=(((A,), 3), ((B,), 2), ((C,), 2), ((E,), 2)),
-            continue_flag=True,
-        )
-        site.update_heavy(result)
+        site.update_heavy(global_result(k=1, frequent=MARKET_L1, continue_flag=True))
         assert heavy(site) == [(A,), (B,)]
 
     def test_update_heavy_site1(self, market_sites):
         site = market_sites[1]
         site.build_report(1)
-        result = global_result(
-            k=1,
-            frequent=(((A,), 3), ((B,), 2), ((C,), 2), ((E,), 2)),
-            continue_flag=True,
-        )
-        site.update_heavy(result)
+        site.update_heavy(global_result(k=1, frequent=MARKET_L1, continue_flag=True))
         assert heavy(site) == [(A,), (C,), (E,)]
 
     def test_update_heavy_empty_result(self, market_sites):
@@ -196,11 +211,11 @@ class TestLocalSite:
         assert heavy(site) == []
 
     def test_update_heavy_ignores_unreported_itemsets(self, market_sites):
-        # heavy = reported here and globally frequent: an itemset the site
-        # never reported is not heavy, and nothing is recounted for it
+        # heavy = reported here and globally frequent: C, below site 0's
+        # threshold, is not heavy, and nothing is recounted for it
         site = market_sites[0]
-        result = global_result(k=1, frequent=(((B,), 2),), continue_flag=True)
-        site.update_heavy(result)
+        site.build_report(1)
+        site.update_heavy(global_result(k=1, frequent=((C,),), continue_flag=True))
         assert heavy(site) == []
         assert site.scan_counter.raw_scans == 1
 
@@ -208,13 +223,7 @@ class TestLocalSite:
         site = market_sites[1]
         site.build_report(1)
         site.matrix = None
-        site.update_heavy(
-            global_result(
-                k=1,
-                frequent=(((A,), 3), ((B,), 2), ((C,), 2), ((E,), 2)),
-                continue_flag=True,
-            )
-        )
+        site.update_heavy(global_result(k=1, frequent=MARKET_L1, continue_flag=True))
         assert heavy(site) == [(A,), (C,), (E,)]
 
     def test_count_request_for_another_level(self, market_sites):
@@ -226,16 +235,16 @@ class TestLocalSite:
     def test_global_result_for_another_level(self, market_sites):
         site = market_sites[0]
         site.build_report(1)
-        site.update_heavy(global_result(k=1, frequent=(((A,), 3),), continue_flag=True))
+        site.update_heavy(global_result(k=1, frequent=((A,),), continue_flag=True))
         site.build_report(2)
-        stale = global_result(k=1, frequent=(((A,), 3),), continue_flag=True)
+        stale = global_result(k=1, frequent=((A,),), continue_flag=True)
         with pytest.raises(ProtocolError, match="level 1 during level 2"):
             site.update_heavy(stale)
 
     def test_second_global_result_for_a_level(self, market_sites):
         site = market_sites[0]
         site.build_report(1)
-        result = global_result(k=1, frequent=(((A,), 3),), continue_flag=True)
+        result = global_result(k=1, frequent=((A,),), continue_flag=True)
         site.update_heavy(result)
         with pytest.raises(ProtocolError, match="second global result for level 1"):
             site.update_heavy(result)
@@ -245,7 +254,7 @@ class TestLocalSite:
     def test_count_request_for_a_closed_level(self, market_sites):
         site = market_sites[0]
         site.build_report(1)
-        site.update_heavy(global_result(k=1, frequent=(((A,), 3),), continue_flag=True))
+        site.update_heavy(global_result(k=1, frequent=((A,),), continue_flag=True))
         with pytest.raises(ProtocolError, match="closed level 1"):
             site.handle_count_request(request(k=1, itemsets=((A,),)))
 
@@ -253,7 +262,7 @@ class TestLocalSite:
         from distmine.dataset import TransactionDb
 
         with pytest.raises(ValueError, match="empty"):
-            LocalSite(0, TransactionDb(transactions=(), universe=2), TWO_THIRDS)
+            LocalSite(0, TransactionDb(transactions=(), universe=2), TWO_THIRDS, 2)
 
 
 _HEADERS = {
@@ -264,24 +273,25 @@ _HEADERS = {
 }
 
 
-def _body(kind, rows, supports):
-    """The arrays a level-1 ``kind`` message is built from, of the given ones."""
-    return [{"rows": rows, "supports": supports}[name] for name in kind.BODY]
-
-
 def _message(kind, itemsets):
-    """A level-1 message about ``itemsets``, count 1 each. ``kind`` is a
-    message type, given its itemsets as a list of tuples and its counts as a
-    list, or a (type, True) pair, given them as int64 arrays. A list of no
-    tuples has no width, so it is passed as an empty (0, 1) array. A
-    CountResponse carries the counts alone."""
+    """A level-1 message about ``itemsets``, given as tuples, named by a
+    mask over C_1, count 1 each; a CountResponse carries the counts alone.
+    ``kind`` is a message type, given its arrays as lists, or a (type, True)
+    pair, given them as numpy arrays."""
     kind, as_array = kind if isinstance(kind, tuple) else (kind, False)
-    rows, supports = itemsets, [1] * len(itemsets)
-    if as_array or not itemsets:
-        rows = _rows(itemsets, len(itemsets[0]) if itemsets else 1)
-    if as_array:
-        supports = np.ones(len(rows), dtype=np.int64)
-    return kind(*_body(kind, rows, supports), **_HEADERS[kind])
+    arrays = {"mask": mask(C1, itemsets), "supports": np.ones(len(itemsets), dtype=np.int64)}
+    body = [arrays[name] if as_array else arrays[name].tolist() for name in kind.BODY]
+    return kind(*body, **_HEADERS[kind])
+
+
+def _given_rows(kind, itemsets):
+    """A level-1 message given the rows of ``itemsets`` where its mask goes,
+    and one count per row if it carries counts. ``kind`` is as for
+    ``_message``."""
+    kind, as_array = kind if isinstance(kind, tuple) else (kind, False)
+    rows = np.array(itemsets, dtype=np.int64) if as_array else itemsets
+    body = [rows, [1] * len(itemsets)] if "supports" in kind.BODY else [rows]
+    return kind(*body, **_HEADERS[kind])
 
 
 def _mask_message(kind, bits, k=2):
@@ -289,21 +299,20 @@ def _mask_message(kind, bits, k=2):
     CountResponse, one count per set bit alone."""
     arrays = {"mask": bits, "supports": np.ones(np.count_nonzero(bits), dtype=np.int64)}
     header = dict(_HEADERS[kind], k=k)
-    return kind(*[arrays[name] for name in kind.MASK_BODY], **header)
+    return kind(*[arrays[name] for name in kind.BODY], **header)
 
 
 MESSAGE_TYPES = [LocalReport, CountRequest, CountResponse, GlobalResult]
 
-# The types that carry itemsets as rows at level 1 and as a mask after:
-# every one but CountResponse.
-ROW_TYPES = [LocalReport, CountRequest, GlobalResult]
+# The types that carry a mask: every one but CountResponse.
+MASK_TYPES = [LocalReport, CountRequest, GlobalResult]
 
 HEADER_FIELDS = {LocalReport: 2, CountRequest: 1, CountResponse: 2, GlobalResult: 2}
 
 
 def _constructors(kinds):
     """Each type given its arrays as lists (named after the type) and as
-    int64 arrays (named ``<type>.from_rows``)."""
+    numpy arrays (named ``<type>.from_rows``)."""
     return [pytest.param((kind, False), id=kind.__name__) for kind in kinds] + [
         pytest.param((kind, True), id=f"{kind.__name__}.from_rows") for kind in kinds
     ]
@@ -325,114 +334,115 @@ def row_lists(draw):
 
 
 class TestMessages:
-    @pytest.mark.parametrize("kind", ROW_TYPES)
+    # A message names its itemsets by a mask over C_k at every level, so no
+    # message takes rows of item ids: whatever their length, width or order,
+    # they are refused (numpy refuses a ragged list before that).
+    @pytest.mark.parametrize("kind", MASK_TYPES)
     @pytest.mark.parametrize(
         "itemsets",
         [[(A, B)], [(A,), (A, B)], [(A,), (A, B, C)], [(A, B), (C, D)]],
     )
     def test_rejects_an_itemset_of_another_length(self, kind, itemsets):
-        # numpy refuses a ragged list; the message, rows of one other length.
-        with pytest.raises(ValueError, match="level-1 message|inhomogeneous"):
-            _message(kind, itemsets)
+        with pytest.raises(ValueError, match="1-d boolean|inhomogeneous"):
+            _given_rows(kind, itemsets)
 
-    @pytest.mark.parametrize("kind", _constructors(ROW_TYPES))
+    @pytest.mark.parametrize("kind", _constructors(MASK_TYPES))
     @pytest.mark.parametrize("itemsets", [[(A, B)], [(A, B, C), (A, B, D)]])
     def test_rejects_rows_of_another_width(self, kind, itemsets):
-        # A ragged list is no array; rows of one wrong width are refused alike.
-        with pytest.raises(ValueError, match="level-1 message"):
-            _message(kind, itemsets)
+        with pytest.raises(ValueError, match="1-d boolean"):
+            _given_rows(kind, itemsets)
 
-    @pytest.mark.parametrize("kind", _constructors(ROW_TYPES))
+    @pytest.mark.parametrize("kind", _constructors(MASK_TYPES))
     @pytest.mark.parametrize(
         "itemsets",
         [[(C,), (B,)], [(A,), (A,)], [(2**40,), (-1,)], [(-1,), (-2,)]],
     )
     def test_rejects_unsorted_or_repeated_itemsets(self, kind, itemsets):
-        with pytest.raises(ValueError, match="sorted and duplicate-free"):
-            _message(kind, itemsets)
+        # A mask names each row of C_1 once, in C_1's order.
+        with pytest.raises(ValueError, match="1-d boolean"):
+            _given_rows(kind, itemsets)
 
     @pytest.mark.parametrize("kind", _constructors(MESSAGE_TYPES))
     def test_canonical_size_counts_every_entry(self, kind):
-        # A CountResponse carries counts and no ids, a CountRequest ids and
-        # no counts.
-        itemsets = [(A,), (300,), (2**40,)]
-        id_bytes = 0 if kind[0] is CountResponse else 4
-        count_bytes = 0 if kind[0] is CountRequest else 8
-        expected = 8 * HEADER_FIELDS[kind[0]] + sum(id_bytes + count_bytes for _ in itemsets)
-        assert canonical_size(_message(kind, itemsets)) == expected
-        assert canonical_size(_message(kind, [])) == 8 * HEADER_FIELDS[kind[0]]
+        # A mask over C_1's 6 items takes one byte. A CountResponse carries
+        # counts and no mask, a CountRequest and a GlobalResult a mask and no
+        # counts.
+        mask_bytes = 0 if kind[0] is CountResponse else 1
+        count_bytes = 8 if kind[0] in (LocalReport, CountResponse) else 0
+        header = 8 * HEADER_FIELDS[kind[0]]
+        assert canonical_size(_message(kind, [(A,), (C,), (5,)])) == header + mask_bytes + 3 * count_bytes
+        assert canonical_size(_message(kind, [])) == header + mask_bytes
 
     @pytest.mark.parametrize("kind", MESSAGE_TYPES)
-    @pytest.mark.parametrize("itemsets", [[], [(-5,), (A,), (300,), (2**40,)]])
+    @pytest.mark.parametrize("itemsets", [[], [(0,), (A,), (C,), (5,)]])
     def test_constructors_agree(self, kind, itemsets):
-        # A list of tuples and an int64 array give one message.
-        by_tuples, by_rows = _message(kind, itemsets), _message((kind, True), itemsets)
-        assert by_tuples == by_rows
-        assert canonical_size(by_tuples) == canonical_size(by_rows)
-        assert by_tuples.n_itemsets == by_rows.n_itemsets == len(itemsets)
+        # Lists and numpy arrays give one message.
+        by_lists, by_arrays = _message(kind, itemsets), _message((kind, True), itemsets)
+        assert by_lists == by_arrays
+        assert canonical_size(by_lists) == canonical_size(by_arrays)
+        assert by_lists.n_itemsets == by_arrays.n_itemsets == len(itemsets)
         if kind is not CountResponse:
-            assert by_rows.rows.dtype == np.int64
-            assert by_rows.rows.tolist() == [list(x) for x in itemsets]
-        if kind is not CountRequest:
-            assert by_tuples.supports.dtype == np.int64
-            assert by_rows.supports.tolist() == [1] * len(itemsets)
-        else:
-            view = by_rows.itemsets
-            assert view == by_tuples.itemsets == tuple(itemsets)
-            assert type(view) is tuple and all(type(x) is tuple for x in view)
-            assert all(type(i) is int for x in view for i in x)
+            assert by_lists.mask.dtype == bool
+            assert C1[by_lists.mask].tolist() == [list(x) for x in itemsets]
+        if kind in (LocalReport, CountResponse):
+            assert by_lists.supports.dtype == np.int64
+            assert by_arrays.supports.tolist() == [1] * len(itemsets)
+        if kind is CountRequest:
+            # At level 1 an item's position in C_1 is its id.
+            view = by_arrays.itemsets
+            assert view == by_lists.itemsets == tuple(x for (x,) in itemsets)
+            assert type(view) is tuple and all(type(i) is int for i in view)
 
     def test_array_constructor_keeps_read_only_views(self):
-        rows = np.array([(A,), (C,)], dtype=np.int64)
+        bits = mask(C1, [(A,), (C,)])
         supports = np.array([4, 5], dtype=np.int64)
-        msg = LocalReport(rows, supports, site_id=1, k=1)
-        assert np.shares_memory(msg.rows, rows) and np.shares_memory(msg.supports, supports)
-        assert not msg.rows.flags.writeable and not msg.supports.flags.writeable
+        msg = LocalReport(bits, supports, site_id=1, k=1)
+        assert np.shares_memory(msg.mask, bits) and np.shares_memory(msg.supports, supports)
+        assert not msg.mask.flags.writeable and not msg.supports.flags.writeable
         with pytest.raises(AttributeError, match="immutable"):
             msg.k = 3
-        assert msg != LocalReport(rows, supports + 1, site_id=1, k=1)
-        assert hash(msg) == hash(report(site_id=1, k=1, entries=pairs(msg)))
-        bits = np.array([True, False, True])
+        assert msg != LocalReport(bits, supports + 1, site_id=1, k=1)
+        assert hash(msg) == hash(report(site_id=1, k=1, entries=pairs(msg, C1)))
         masked = LocalReport(bits, supports, site_id=1, k=2)
-        assert np.shares_memory(masked.mask, bits) and not masked.mask.flags.writeable
         assert masked != msg and masked == LocalReport(bits.tolist(), [4, 5], site_id=1, k=2)
 
     @pytest.mark.parametrize("kind", MESSAGE_TYPES)
     @pytest.mark.parametrize("n_rows", [0, 1, 2])
     def test_rejects_level_zero(self, kind, n_rows):
         # No actor sends a level-0 message; the level is checked first.
-        rows = np.empty((n_rows, 0), dtype=np.int64)
+        arrays = {"mask": np.ones(n_rows, dtype=bool), "supports": [3] * n_rows}
         with pytest.raises(ValueError, match="level is at least 1, got 0"):
-            kind(*_body(kind, rows, [3] * n_rows), **dict(_HEADERS[kind], k=0))
+            kind(*map(arrays.get, kind.BODY), **dict(_HEADERS[kind], k=0))
 
     def test_array_constructor_wants_one_count_per_itemset(self):
-        rows = np.array([(A,), (C,)], dtype=np.int64)
+        bits = mask(C1, [(A,), (C,)])
         with pytest.raises(ValueError, match="one count per itemset"):
-            GlobalResult(rows, np.ones(3, np.int64), k=1, continue_flag=False)
+            LocalReport(bits, np.ones(3, np.int64), site_id=0, k=1)
         with pytest.raises(ValueError, match="one count per itemset"):
             LocalReport(np.array([True, False, True]), np.ones(3, np.int64), site_id=0, k=2)
         with pytest.raises(TypeError, match="body"):
-            CountRequest(rows, np.ones(2, np.int64), k=1)
+            CountRequest(bits, np.ones(2, np.int64), k=1)
         with pytest.raises(TypeError, match="body"):
-            CountResponse(rows, np.ones(2, np.int64), site_id=0, k=2)
+            CountResponse(bits, np.ones(2, np.int64), site_id=0, k=2)
         with pytest.raises(TypeError, match="body"):
-            GlobalResult(np.ones(2, dtype=bool), np.ones(2, np.int64), k=2, continue_flag=True)
+            GlobalResult(bits, np.ones(2, np.int64), k=1, continue_flag=True)
         with pytest.raises(ValueError, match="one count per itemset"):
             CountResponse(np.ones((2, 1), np.int64), site_id=0, k=2)
 
-    @pytest.mark.parametrize("kind", ROW_TYPES)
+    @pytest.mark.parametrize("kind", MASK_TYPES)
     @pytest.mark.parametrize("bits", [[1, 0], [[True]], np.ones((1, 2), dtype=bool)])
     def test_mask_is_a_boolean_vector(self, kind, bits):
         with pytest.raises(ValueError, match="1-d boolean"):
             _mask_message(kind, bits)
 
     @pytest.mark.parametrize("kind", MESSAGE_TYPES)
-    @pytest.mark.parametrize("itemsets", [[], [(A,)], [(0,), (A,), (2**32 - 1,)]])
+    @pytest.mark.parametrize("itemsets", [[], [(A,)], [(0,), (A,), (5,)]])
     def test_encoding_round_trips_at_the_canonical_size(self, kind, itemsets):
+        # A level-1 message decodes with |C_1|, the run's universe.
         msg = _message((kind, True), itemsets)
         data = encode(msg)
         assert type(data) is bytes and len(data) == canonical_size(msg)
-        assert decode(kind, data) == msg
+        assert decode(kind, data, U) == msg
 
     @pytest.mark.parametrize("kind", MESSAGE_TYPES)
     @pytest.mark.parametrize("n_candidates", [0, 1, 7, 8, 9, 13, 16, 4950])
@@ -448,22 +458,20 @@ class TestMessages:
             assert decode(kind, data, n_candidates) == msg
 
     def test_encoding_layout(self):
-        # header fields as little-endian int64, then uint32 ids row by row,
-        # then int64 counts
-        msg = report(site_id=3, k=1, entries=(((A,), 7), ((2**32 - 1,), -2)))
-        ids, counts = [A, 2**32 - 1], [7, -2]
+        # header fields as little-endian int64, then the mask over C_1's 6
+        # items, least significant bit first, in one byte, then int64 counts
+        msg = report(site_id=3, k=1, entries=(((A,), 7), ((5,), -2)))
         expected = b"".join(
-            [(3).to_bytes(8, "little"), (1).to_bytes(8, "little")]
-            + [i.to_bytes(4, "little") for i in ids]
-            + [n.to_bytes(8, "little", signed=True) for n in counts]
+            [(3).to_bytes(8, "little"), (1).to_bytes(8, "little"), bytes([0b100010])]
+            + [n.to_bytes(8, "little", signed=True) for n in (7, -2)]
         )
         assert encode(msg) == expected
-        result = global_result(k=1, frequent=(((A,), 4),), continue_flag=False)
+        result = global_result(k=1, frequent=((A,),), continue_flag=False)
         assert encode(result)[8:16] == bytes(8)
-        assert decode(GlobalResult, encode(result)).continue_flag is False
+        assert decode(GlobalResult, encode(result), U).continue_flag is False
 
     def test_mask_encoding_layout(self):
-        # From level 2: the header, the mask least significant bit first in
+        # At level 2 as at level 1: the header, the mask least significant bit first in
         # whole bytes, then one int64 count per set bit.
         bits = np.zeros(10, dtype=bool)
         bits[[0, 3, 9]] = True
@@ -482,6 +490,8 @@ class TestMessages:
         data = encode(LocalReport(bits, np.array([7, 8]), site_id=3, k=2))
         with pytest.raises(ValueError, match=r"needs \|C_2\|"):
             decode(LocalReport, data)
+        with pytest.raises(ValueError, match=r"needs \|C_1\|"):
+            decode(GlobalResult, encode(global_result(k=1, frequent=(), continue_flag=True)))
         # Another |C_2| reads the bits past it, or the counts, wrong.
         with pytest.raises(ValueError, match="sets a bit past them"):
             decode(LocalReport, data, 9)
@@ -491,21 +501,16 @@ class TestMessages:
             decode(LocalReport, data[:-1], 10)
         assert decode(CountResponse, encode(CountResponse([5], site_id=0, k=2))).supports.tolist() == [5]
 
-    @pytest.mark.parametrize("item", [-1, 2**32, 2**40])
-    def test_encoding_rejects_ids_outside_uint32(self, item):
-        with pytest.raises(ValueError, match=r"outside \[0, 2\*\*32\)"):
-            encode(request(k=1, itemsets=sorted([(0,), (item,)])))
-
     @pytest.mark.parametrize(
         "kind, n_bytes",
         [(CountRequest, 4), (CountRequest, 19), (CountResponse, 20), (GlobalResult, 15)],
     )
     def test_decoding_rejects_a_partial_message(self, kind, n_bytes):
-        # a level-1 CountRequest takes 8 + 4m bytes, a CountResponse 16 + 8m
-        # and a GlobalResult 16 + 12m
+        # over C_1's 6 items, a level-1 CountRequest takes 8 + 1 bytes, a
+        # CountResponse 16 + 8m and a GlobalResult 16 + 1
         data = (1).to_bytes(8, "little") + bytes(24)
         with pytest.raises(ValueError, match=f"{n_bytes} bytes hold no {kind.__name__}"):
-            decode(kind, data[:n_bytes])
+            decode(kind, data[:n_bytes], U)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(row_lists())
@@ -543,15 +548,9 @@ class TestLocalPrune:
         # every subset is locally frequent here
         site = market_sites[0]
         site.build_report(1)
-        site.update_heavy(
-            global_result(
-                k=1,
-                frequent=(((A,), 3), ((B,), 2), ((C,), 2), ((E,), 2)),
-                continue_flag=True,
-            )
-        )
+        site.update_heavy(global_result(k=1, frequent=MARKET_L1, continue_flag=True))
         cands = counted(site, 2)
-        assert local_prune(cands, dict(pairs(site.reported)), site.site_threshold) == cands
+        assert local_prune(cands, dict(pairs(site.reported, C1)), site.site_threshold) == cands
 
 
 class TestCenterSite:
@@ -563,11 +562,12 @@ class TestCenterSite:
         # B missing from site 1; C and E missing from site 0, one batched
         # request per site
         assert set(requests) == {0, 1}
-        assert itemsets(requests[0].rows) == [(C,), (E,)]
-        assert itemsets(requests[1].rows) == [(B,)]
+        assert itemsets(C1[requests[0].mask]) == [(C,), (E,)]
+        assert itemsets(C1[requests[1].mask]) == [(B,)]
         # A's total is the sum of its two reports, with no poll
         polled = [market_sites[i].handle_count_request(requests[i]) for i in (0, 1)]
-        assert ((A,), 3) in pairs(market_center.finalize(polled))
+        market_center.finalize(polled)
+        assert ((A,), 3) in totals(market_center)
 
     def test_maxcount_bound_values(self, market_center):
         # B reported only by site 0 with count 2: bound 2 + (1-1) = 2, kept;
@@ -578,11 +578,11 @@ class TestCenterSite:
         ]
         _, pruned, requests = market_center.aggregate(reports)
         assert itemsets(pruned) == []
-        assert itemsets(requests[0].rows) == [(C,)]
-        assert itemsets(requests[1].rows) == [(B,)]
+        assert itemsets(C1[requests[0].mask]) == [(C,)]
+        assert itemsets(C1[requests[1].mask]) == [(B,)]
 
     def test_maxcount_prunes_hopeless_itemsets(self):
-        center = CenterSite([4, 4], Fraction(1, 2))
+        center = CenterSite([4, 4], Fraction(1, 2), U)
         # global threshold 4; site thresholds 2 each; an itemset reported by
         # one site with count 2 can reach at most 2 + 1 = 3
         reports = [
@@ -602,7 +602,8 @@ class TestCenterSite:
             for sid, req in sorted(requests.items())
         ]
         result = market_center.finalize(responses)
-        assert pairs(result) == (((A,), 3), ((B,), 2), ((C,), 2), ((E,), 2))
+        assert itemsets(C1[result.mask]) == list(MARKET_L1)
+        assert totals(market_center) == (((A,), 3), ((B,), 2), ((C,), 2), ((E,), 2))
         assert result.continue_flag is True
 
     def test_all_empty_reports_stop_the_run(self, market_center):
@@ -614,7 +615,7 @@ class TestCenterSite:
         assert requests == {}
         result = market_center.finalize([])
         assert result.continue_flag is False
-        assert pairs(result) == ()
+        assert not result.mask.any() and totals(market_center) == ()
 
     def test_small_level_stops_the_run(self, market_center):
         # |L_1| = 1 < 2 stops the loop even though L_1 is non-empty
@@ -624,7 +625,7 @@ class TestCenterSite:
         ]
         market_center.aggregate(reports)
         result = market_center.finalize([])
-        assert pairs(result) == (((A,), 3),)
+        assert totals(market_center) == (((A,), 3),)
         assert result.continue_flag is False
 
     def test_duplicate_report_rejected(self, market_center):
@@ -648,7 +649,7 @@ class TestCenterSite:
             market_center.aggregate(reports)
 
     def test_first_reports_at_level_2_rejected(self):
-        center = CenterSite([10, 10], Fraction(1, 2))
+        center = CenterSite([10, 10], Fraction(1, 2), U)
         reports = [report(site_id=i, k=2, entries=(((A, B), 9),)) for i in (0, 1)]
         with pytest.raises(ProtocolError, match=r"levels \[2\], expected level 1"):
             center.aggregate(reports)
@@ -657,7 +658,7 @@ class TestCenterSite:
         "finalized, error", [(True, "expected level 2"), (False, "level 1, which is still open")]
     )
     def test_level_1_twice_rejected(self, finalized, error):
-        center = CenterSite([10, 10], Fraction(1, 2))
+        center = CenterSite([10, 10], Fraction(1, 2), U)
         reports = [report(site_id=i, k=1, entries=(((A,), 5), ((B,), 5))) for i in (0, 1)]
         center.aggregate(reports)
         if finalized:
@@ -668,10 +669,10 @@ class TestCenterSite:
     def test_reports_after_the_last_level_rejected(self):
         # L2 = {AB} alone clears continue_flag; AC and BC are not frequent,
         # so no level-3 report may yield ABC
-        center = CenterSite([10, 10], Fraction(1, 2))
+        center = CenterSite([10, 10], Fraction(1, 2), U)
         for k, frequent in ((1, [(A,), (B,), (C,)]), (2, [(A, B)])):
             entries = [(x, 5) for x in frequent]
-            candidates = join_rows(center.frequent)[0] if k > 1 else None
+            candidates = candidate_list(k, U, center.frequent)[0]
             center.aggregate([report(i, k, entries, candidates) for i in (0, 1)])
             result = center.finalize([])
         assert not result.continue_flag
@@ -692,7 +693,7 @@ class TestCenterSite:
     @pytest.mark.parametrize("count", [99, 11, 4, 1, -7])
     def test_report_count_outside_its_bounds_rejected(self, count):
         # 10-row sites at minsup 1/2: a reported count lies in [5, 10]
-        center = CenterSite([10, 10], Fraction(1, 2))
+        center = CenterSite([10, 10], Fraction(1, 2), U)
         reports = [
             report(site_id=0, k=1, entries=(((A,), 5),)),
             report(site_id=1, k=1, entries=(((A,), count),)),
@@ -704,7 +705,7 @@ class TestCenterSite:
     @pytest.mark.parametrize("count", [7, 5, -1])
     def test_poll_answer_outside_its_bounds_rejected(self, count):
         # A silent site's count is below its threshold 5: it lies in [0, 4]
-        center = CenterSite([10, 10], Fraction(1, 2))
+        center = CenterSite([10, 10], Fraction(1, 2), U)
         center.aggregate(
             [report(site_id=0, k=1, entries=(((A,), 9),)), report(site_id=1, k=1, entries=())]
         )
@@ -728,21 +729,23 @@ class TestCenterSite:
         with pytest.raises(ProtocolError, match="missing count responses"):
             market_center.finalize(answered)
 
-    def test_any_int64_ids_are_polled_and_summed(self):
-        # global threshold 4, site thresholds 2: -1 is reported by both
-        # sites, the other two ids are polled from site 1
-        center = CenterSite([4, 4], Fraction(1, 2))
-        low, high = -(2**62), 2**40
+    def test_first_and_last_items_are_polled_and_summed(self):
+        # A universe of 9 items, so the mask's last bit is in its second
+        # byte. Global threshold 4, site thresholds 2: item 4 is reported by
+        # both sites, items 0 and 8 are polled from site 1.
+        center = CenterSite([4, 4], Fraction(1, 2), 9)
+        c1 = np.arange(9)[:, None]
         reports = [
-            report(site_id=0, k=1, entries=(((low,), 3), ((-1,), 2), ((high,), 3))),
-            report(site_id=1, k=1, entries=(((-1,), 3),)),
+            report(site_id=0, k=1, entries=(((0,), 3), ((4,), 2), ((8,), 3)), candidates=c1),
+            report(site_id=1, k=1, entries=(((4,), 3),), candidates=c1),
         ]
         immediate, _, requests = center.aggregate(reports)
-        assert itemsets(immediate) == [(-1,)]
-        assert itemsets(requests[1].rows) == [(low,), (high,)]
+        assert itemsets(immediate) == [(4,)]
+        assert itemsets(c1[requests[1].mask]) == [(0,), (8,)]
         answer = response(site_id=1, k=1, counts=[0, 1])
         result = center.finalize([answer])
-        assert pairs(result) == (((-1,), 5), ((high,), 4))
+        assert itemsets(c1[result.mask]) == [(4,), (8,)]
+        assert totals(center) == (((4,), 5), ((8,), 4))
 
     def test_second_answer_for_an_itemset_rejected(self, market_sites, market_center):
         reports = [s.build_report(1) for s in market_sites]
@@ -756,7 +759,7 @@ class TestCenterSite:
     def test_response_from_a_site_not_polled_rejected(self, site_id):
         # three sites, global threshold 4, site thresholds 2 each: A is
         # missing only from site 2, so only site 2 is polled
-        center = CenterSite([4, 4, 4], Fraction(1, 3))
+        center = CenterSite([4, 4, 4], Fraction(1, 3), U)
         reports = [
             report(site_id=0, k=1, entries=(((A,), 2),)),
             report(site_id=1, k=1, entries=(((A,), 2),)),
@@ -774,14 +777,14 @@ class TestCenterSite:
         with pytest.raises(ProtocolError, match=f"site {site_id} answered unrequested"):
             market_center.finalize([response(site_id=site_id, k=1, counts=[])])
 
-    @pytest.mark.parametrize("itemset", [(D,), (0,), (40,), (-1,)])
+    @pytest.mark.parametrize("itemset", [(D,), (0,), (A,), (B,)])
     def test_response_outside_the_level_rejected(self, market_sites, market_center, itemset):
         # Site 0 is asked for C and E and also counts an itemset it was not
-        # asked for: D and 0 were reported by no site, 40 and -1 are no item
-        # here. Its answer holds one count too many.
+        # asked for: D and 0 were reported by no site, A by both and B by
+        # site 0 itself. Its answer holds one count too many.
         reports = [s.build_report(1) for s in market_sites]
         _, _, requests = market_center.aggregate(reports)
-        assert itemsets(requests[0].rows) == [(C,), (E,)]
+        assert itemsets(C1[requests[0].mask]) == [(C,), (E,)]
         rogue = request(k=1, itemsets=sorted([(C,), (E,), itemset]))
         answered = [
             market_sites[0].handle_count_request(rogue),
@@ -791,7 +794,7 @@ class TestCenterSite:
             market_center.finalize(answered)
 
     def test_pruned_itemset_answer_rejected(self):
-        center = CenterSite([4, 4], Fraction(1, 2))
+        center = CenterSite([4, 4], Fraction(1, 2), U)
         reports = [
             report(site_id=0, k=1, entries=(((A,), 2),)),
             report(site_id=1, k=1, entries=()),
@@ -804,7 +807,7 @@ class TestCenterSite:
     def test_partial_answer_rejected(self, market_sites, market_center):
         reports = [s.build_report(1) for s in market_sites]
         _, _, requests = market_center.aggregate(reports)
-        assert itemsets(requests[0].rows) == [(C,), (E,)]
+        assert itemsets(C1[requests[0].mask]) == [(C,), (E,)]
         partial = response(site_id=0, k=1, counts=[1])
         answered = [partial, market_sites[1].handle_count_request(requests[1])]
         with pytest.raises(ProtocolError, match="site 0 answered 1 counts at level 1, asked for 2"):
@@ -813,7 +816,7 @@ class TestCenterSite:
     def test_response_from_a_site_with_nothing_to_fill_rejected(self):
         # site 0 reports A = 9 and site 1 nothing, so only site 1 is polled;
         # taking every answer here would give A a count of 12
-        center = CenterSite([10, 10], Fraction(1, 2))
+        center = CenterSite([10, 10], Fraction(1, 2), U)
         center.aggregate(
             [report(site_id=0, k=1, entries=(((A,), 9),)), report(site_id=1, k=1, entries=())]
         )
@@ -827,7 +830,7 @@ class TestCenterSite:
             center.finalize(answers)
 
     def test_second_response_from_a_polled_site_rejected(self):
-        center = CenterSite([10, 10], Fraction(1, 2))
+        center = CenterSite([10, 10], Fraction(1, 2), U)
         center.aggregate(
             [report(site_id=0, k=1, entries=(((A,), 9),)), report(site_id=1, k=1, entries=())]
         )
@@ -856,9 +859,9 @@ class TestCenterSite:
         # sets must also be heavy there. 10-row sites at minsup 1/2: both
         # sites report each level's itemsets with count 5, but the last one
         # only site 1 reports, with count 10, and site 0 answers 0 for it.
-        center = CenterSite([10, 10], Fraction(1, 2))
+        center = CenterSite([10, 10], Fraction(1, 2), U)
         for k, frequent in enumerate(levels, start=1):
-            candidates = join_rows(center.frequent)[0] if k > 1 else None
+            candidates = candidate_list(k, U, center.frequent)[0]
             *shared, lone = [(x, 5) for x in frequent]
             reports = [
                 report(0, k, shared, candidates),
@@ -869,7 +872,7 @@ class TestCenterSite:
             center.finalize([response(site_id=0, k=k, counts=[0])])
             assert itemsets(center.frequent) == frequent
         k = len(rogue)
-        candidates = join_rows(center.frequent)[0]
+        candidates = candidate_list(k, U, center.frequent)[0]
         reports = [report(i, k, ((rogue, 5),), candidates) for i in (0, 1)]
         what = f"site 0 reported a subset it did not have heavy at level {k - 1} in itemset {rogue}"
         error = re.escape(f"{what} at level {k}")
@@ -899,7 +902,7 @@ class TestDelivery:
 
         def relevel(src, dst, msg):
             if isinstance(msg, CountRequest):
-                return remade(msg, mask=np.zeros(0, dtype=bool), k=msg.k + 1)
+                return remade(msg, k=msg.k + 1)
             return msg
 
         error = "site 0: count request for level 2 during level 1"
@@ -909,20 +912,21 @@ class TestDelivery:
 
 class TestMutatedMasks:
     """Mask entries of the mutation catalogue, on the market run over two
-    sites: each changes one level-2 message in flight, and its receiver must
-    refuse it. C_2 is the 6 pairs of L_1 = ABCE. Site 0 (ABC, ABDE) has A
-    and B heavy and reports AB; site 1 (ACE) has A, C and E heavy and
-    reports AC, AE and CE; each is polled for the other's pairs."""
+    sites: each changes one level-1 or level-2 message in flight, and its
+    receiver must refuse it. C_1 is the 6 items 0..5 and C_2 the 6 pairs of
+    L_1 = ABCE. Site 0 (ABC, ABDE) reports A and B at level 1 and AB at
+    level 2; site 1 (ACE) reports A, C and E, then AC, AE and CE; at each
+    level each is polled for what the other reported."""
 
     @staticmethod
-    def refusal(kind, route, change, market_db):
-        """The ProtocolError text when the level-2 ``kind`` message sent
+    def refusal(kind, route, change, market_db, k=2):
+        """The ProtocolError text when the level-k ``kind`` message sent
         along ``route``, a (src, dst) pair, is replaced in flight by
         ``change(msg)``."""
         parts = partition(market_db, PartitionSpec(n_sites=2))
 
         def mutate(src, dst, msg):
-            if isinstance(msg, kind) and msg.k == 2 and (src, dst) == route:
+            if isinstance(msg, kind) and msg.k == k and (src, dst) == route:
                 return change(msg)
             return msg
 
@@ -930,27 +934,45 @@ class TestMutatedMasks:
             ImprovedRun(parts, "2/3").run()
         return str(refused.value)
 
-    @pytest.mark.parametrize("extra", [[False], [], [True, False]])
-    def test_report_mask_of_another_length(self, market_db, extra):
+    @pytest.mark.parametrize(
+        "extra, k",
+        [
+            pytest.param([False], 2, id="extra0"),
+            pytest.param([], 2, id="extra1"),
+            pytest.param([True, False], 2, id="extra2"),
+            pytest.param([False], 1, id="extra0-level1"),
+            pytest.param([], 1, id="extra1-level1"),
+            pytest.param([True, False], 1, id="extra2-level1"),
+        ],
+    )
+    def test_report_mask_of_another_length(self, market_db, extra, k):
         # Site 0's report, cut short or grown by unset or set bits, each set
-        # bit with a count inside site 0's bounds [2, 2].
+        # bit with a count inside site 0's bounds [2, 2]. |C_1| = |C_2| = 6.
         def change(msg):
             bits = np.append(msg.mask, extra) if extra else msg.mask[:-1]
             supports = np.append(msg.supports, [2] * sum(extra))
             return remade(msg, mask=bits, supports=supports[: np.count_nonzero(bits)])
 
         n = 6 + (len(extra) if extra else -1)
-        error = self.refusal(LocalReport, ("site:0", "center"), change, market_db)
-        assert error == f"site 0 to the center: a LocalReport masking {n} itemsets at level 2, where C_2 holds 6"
+        error = self.refusal(LocalReport, ("site:0", "center"), change, market_db, k)
+        assert error == f"site 0 to the center: a LocalReport masking {n} itemsets at level {k}, where C_{k} holds 6"
 
-    @pytest.mark.parametrize("kind, dst", [(CountRequest, "site:0"), (GlobalResult, "site:1")])
-    def test_site_refuses_a_mask_of_another_length(self, market_db, kind, dst):
+    @pytest.mark.parametrize(
+        "kind, dst, k",
+        [
+            pytest.param(CountRequest, "site:0", 2, id="CountRequest-site:0"),
+            pytest.param(GlobalResult, "site:1", 2, id="GlobalResult-site:1"),
+            pytest.param(CountRequest, "site:0", 1, id="CountRequest-site:0-level1"),
+            pytest.param(GlobalResult, "site:1", 1, id="GlobalResult-site:1-level1"),
+        ],
+    )
+    def test_site_refuses_a_mask_of_another_length(self, market_db, kind, dst, k):
         def change(msg):
             return remade(msg, mask=np.append(msg.mask, False))
 
-        error = self.refusal(kind, ("center", dst), change, market_db)
+        error = self.refusal(kind, ("center", dst), change, market_db, k)
         site = dst.removeprefix("site:")
-        assert error == f"site {site}: a {kind.__name__} masking 7 itemsets at level 2, where C_2 holds 6"
+        assert error == f"site {site}: a {kind.__name__} masking 7 itemsets at level {k}, where C_{k} holds 6"
 
     def test_report_of_an_itemset_with_a_subset_not_heavy_there(self, market_db):
         # Site 0 adds AC, count 2, inside its bounds [2, 2]: but C is not
@@ -1025,10 +1047,11 @@ class TestImprovedRun:
         run = ImprovedRun(parts, "2/3")
         run.run()
         rec = run.log.trace[0]
-        # site 0's level-1 report: 2 header fields + 2 singleton entries
+        # site 0's level-1 report: 2 header fields, a mask over the 6 items
+        # of C_1 in one byte, and 2 counts
         assert rec.type == "LocalReport"
         assert rec.items == 2
-        assert rec.bytes == 8 * 2 + 2 * (4 + 8)
+        assert rec.bytes == 8 * 2 + 1 + 2 * 8
 
     def test_trace_holds_the_colocated_exchanges(self, market_db):
         # The center rides on site 0. The metrics count every message; the
@@ -1041,15 +1064,17 @@ class TestImprovedRun:
             (sum(rec.k == k for rec in network), sum(rec.bytes for rec in network if rec.k == k))
             for k in (1, 2, 3)
         ]
-        # Level 2 masks C_2, the 6 pairs of ABCE, in one byte: site 1's
-        # report 16 + 1 + 3 * 8, the request 8 + 1, the answer 16 + 8 and the
-        # result 16 + 1 bytes. Site 0's exchanges with the center add
-        # 25 + 9 + 40 + 17, so level 2 takes 182 bytes.
-        assert per_level == [(4, 152), (4, 91), (2, 32)]
-        assert (len(network), sum(rec.bytes for rec in network)) == (10, 275)
+        # Level 1 masks C_1, the 6 items 0..5, and level 2 C_2, the 6 pairs
+        # of ABCE, each in one byte, with 3 entries from site 1 and 1 from
+        # the center on the network at each: site 1's report 16 + 1 + 3 * 8,
+        # the request 8 + 1, the answer 16 + 8 and the result 16 + 1 bytes.
+        # Site 0's exchanges with the center add 33 + 9 + 32 + 17 at level 1
+        # and 25 + 9 + 40 + 17 at level 2, so each level takes 182 bytes.
+        assert per_level == [(4, 91), (4, 91), (2, 32)]
+        assert (len(network), sum(rec.bytes for rec in network)) == (10, 214)
         assert [m.k for m in run.metrics] == [1, 2, 3]
         assert sum(m.messages_sent for m in run.metrics) == len(run.log.trace) == 20
-        assert sum(m.payload_bytes for m in run.metrics) == 550
+        assert sum(m.payload_bytes for m in run.metrics) == 428
 
     def test_run_twice_rejected(self, market_db):
         parts = partition(market_db, PartitionSpec(n_sites=2))
