@@ -14,30 +14,24 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import TransactionDb
-from .lmatrix import LMatrix, ScanCounter
 from .messages import CountResponse, MessageLog
 from .miner import MiningResult, RoundMetrics, apriori_levels, mine_levels
 from .miner import parse_minsup, threshold
-from .protocol import ProtocolError
+from .protocol import LocalSite, ProtocolError
 
 
 class CountDistributionRun:
     """One deterministic simulated count-distribution run: the shared loop
     (``miner.mine_levels`` over ``miner.apriori_levels``) with one round per
-    level, in which every site counts and broadcasts its count vector."""
+    level, in which every ``LocalSite`` counts and broadcasts its count vector."""
 
     def __init__(self, partitions: list[TransactionDb], minsup) -> None:
         if not partitions:
             raise ValueError("need at least one partition")
-        if any(p.size == 0 for p in partitions):
-            raise ValueError("partitions must be non-empty")
         self.minsup = parse_minsup(minsup)
-        self.scan_counters = [ScanCounter() for _ in partitions]
-        self.matrices = [
-            LMatrix.from_db(p, c) for p, c in zip(partitions, self.scan_counters)
-        ]
         self.universe = max(p.universe for p in partitions)
-        self.total_size = sum(p.size for p in partitions)
+        self.sites = [LocalSite(i, p, self.minsup, self.universe) for i, p in enumerate(partitions)]
+        self.total_size = sum(s.size for s in self.sites)
         self.global_threshold = threshold(self.minsup, self.total_size)
         self.log = MessageLog()
         self.metrics: list[RoundMetrics] = []
@@ -60,9 +54,9 @@ class CountDistributionRun:
         sent. A peer refuses a vector that does not hold one count per row
         of its C_k. Site 0 sums its own vector and the ones delivered to it;
         every inbox holds the same vectors, so its sum stands for all."""
-        n, k, total = len(self.matrices), rows.shape[1], 0
-        for i, matrix in enumerate(self.matrices):
-            counts = CountResponse(matrix.count(rows), site_id=i, k=k)
+        n, k, total = len(self.sites), rows.shape[1], 0
+        for i, site in enumerate(self.sites):
+            counts = CountResponse(site.matrix.count(rows), site_id=i, k=k)
             got = {j: self.log.send(f"site:{i}", f"site:{j}", counts) for j in range(n) if j != i}
             for j, msg in got.items():
                 if msg.n_itemsets != len(rows):

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -145,13 +144,12 @@ class LocalSite:
         (k-1)-subset is heavy here, so the least subset count already clears
         the site threshold."""
         self.candidates, self.counted = self.local_candidates(k)
-        counted = np.flatnonzero(self.counted)
-        counts = self.matrix.count(self.candidates[counted])
-        frequent = counts >= self.site_threshold
-        named = np.zeros(len(self.candidates), dtype=bool)
-        named[counted[frequent]] = True
+        counts = np.zeros(len(self.candidates), dtype=np.int64)
+        counts[self.counted] = self.matrix.count(self.candidates[self.counted])
+        # The threshold is at least 1, so only counted rows qualify.
+        named = counts >= self.site_threshold
         self.closed = False
-        self.reported = LocalReport(named, counts[frequent], site_id=self.site_id, k=k)
+        self.reported = LocalReport(named, counts[named], site_id=self.site_id, k=k)
         return self.reported
 
     def _check_level(self, what: str, k: int) -> None:
@@ -194,29 +192,17 @@ class LocalSite:
         self.heavy = self.reported.mask[result.mask]
 
 
-class AggregationOutcome(NamedTuple):
-    """One level's aggregation: the itemsets decided frequent without a poll
-    and those the max-count bound pruned, as rows, and one count request per
-    polled site."""
-
-    immediately_frequent: np.ndarray
-    pruned: np.ndarray
-    requests: dict[int, CountRequest]
-
-
 class CenterSite:
     """Combines local reports into global decisions, numbering the levels
-    itself. An open level is the level's candidate list C_k
-    (``candidate_list`` over the run's ``universe``), the sorted rows of it
-    that some site reported and were not pruned, and their (itemsets x
-    sites) count matrix, -1 where a count is not yet known, so a count is
-    bounds-checked before it is stored; every decision is a mask over the
-    matrix. The cells of site i still at -1 are the rows requested from site
-    i, in order, so its answer, counts only, fills them by position.
+    itself. An open level is its candidate list C_k (``candidate_list`` over
+    the run's ``universe``), a (C_k x sites) count matrix, -1 where a count
+    is not known, so a count is bounds-checked before it is stored, and the
+    mask over C_k of the rows the max-count bound kept; every message masks
+    C_k too. The request to site i is its kept rows still at -1, and its
+    answer, counts only, fills them in that order.
     ``frequent`` holds the rows of the last GlobalResult, ``supports`` their
     global counts and ``heavy`` which sites reported each: every
-    (k-1)-subset of an itemset site i reports at level k must be heavy at
-    site i."""
+    (k-1)-subset of a row site i reports at level k must be heavy at i."""
 
     def __init__(self, site_sizes: list[int], minsup: Fraction, universe: int) -> None:
         self.n_sites = len(site_sizes)
@@ -231,16 +217,11 @@ class CenterSite:
         self.supports = np.empty(0, dtype=np.int64)
         self.heavy = np.empty((0, self.n_sites), dtype=bool)
 
-    def _named(self, select: np.ndarray) -> np.ndarray:
-        """The open level's kept rows that ``select`` marks, as a message
-        names them: as a mask over C_k."""
-        mask = np.zeros(len(self._candidates), dtype=bool)
-        mask[self._at[select]] = True
-        return mask
-
-    def aggregate(self, reports: list[LocalReport]) -> AggregationOutcome:
+    def aggregate(self, reports: list[LocalReport]) -> tuple:
         """Process one report per site: decide fully reported itemsets on the
         spot, bound the rest, and batch one count request per silent site.
+        Returns the rows decided frequent without a poll, the rows the
+        max-count bound pruned, and the request to each polled site.
 
         An itemset reported by every site has its exact global count (the sum)
         and each addend cleared its local threshold, so it is frequent without
@@ -261,9 +242,9 @@ class CenterSite:
         candidates, subsets = candidate_list(k, self.universe, self.frequent)
         for r in reports:
             _check_mask(f"site {r.site_id} to the center", r, candidates)
-        at = [np.flatnonzero(r.mask) for r in reports]
         counts = np.full((len(candidates), self.n_sites), -1, dtype=np.int64)
-        for r, i in zip(reports, at):
+        for r in reports:
+            i = np.flatnonzero(r.mask)
             low, high = self.site_thresholds[r.site_id], self.site_sizes[r.site_id]
             bad = (r.supports < low) | (r.supports > high)
             _refuse(r, candidates[i], bad, f"reported count {{}} outside [{low}, {high}] for itemset")
@@ -273,19 +254,19 @@ class CenterSite:
             counts[i, r.site_id] = r.supports
 
         # Only itemsets some site reported are decided.
-        where = np.flatnonzero((counts >= 0).any(axis=1))
-        counts = counts[where]
-        silent = counts < 0
-        max_count = np.where(silent, self.site_thresholds - 1, counts).sum(axis=1)
-        kept = max_count >= self.global_threshold
-        self._candidates, self._at = candidates, where[kept]
-        self._rows, self._counts, self._reported = candidates[self._at], counts[kept], ~silent[kept]
+        reported = counts >= 0
+        decided = np.flatnonzero(reported.any(axis=1))
+        seen = counts[decided]
+        max_count = np.where(seen < 0, self.site_thresholds - 1, seen).sum(axis=1)
+        bounded = max_count >= self.global_threshold
+        kept = np.zeros(len(candidates), dtype=bool)
+        kept[decided[bounded]] = True
+        self._candidates, self._counts, self._kept = candidates, counts, kept
         self.level, self.open = k, True
 
-        polled = silent[kept]
-        requests = {i: CountRequest(self._named(w), k=k) for i, w in enumerate(polled.T) if w.any()}
-        pruned = candidates[where[~kept]]
-        return AggregationOutcome(self._rows[~polled.any(axis=1)], pruned, requests)
+        polled = (~reported[:, i] & kept for i in range(self.n_sites))
+        requests = {i: CountRequest(w, k=k) for i, w in enumerate(polled) if w.any()}
+        return candidates[kept & reported.all(axis=1)], candidates[decided[~bounded]], requests
 
     def finalize(self, responses: list[CountResponse]) -> GlobalResult:
         """Write poll answers into their cells and close the level. Exactly
@@ -301,8 +282,8 @@ class CenterSite:
         """
         if not self.open:
             raise ProtocolError(f"no open level to finalize after level {self.level}")
-        counts, k = self._counts, self.level
-        asked, answered = counts < 0, set()
+        candidates, counts, kept, k = self._candidates, self._counts, self._kept, self.level
+        asked, answered = (counts < 0) & kept[:, None], set()
         for resp in responses:
             i = resp.site_id
             if resp.k != k or not (0 <= i < self.n_sites and asked[:, i].any()):
@@ -318,19 +299,20 @@ class CenterSite:
             high = self.site_thresholds[i] - 1
             bad = (resp.supports < 0) | (resp.supports > high)
             what = f"answered count {{}} outside [0, {high}] for itemset"
-            _refuse(resp, self._rows[at], bad, what)
+            _refuse(resp, candidates[at], bad, what)
             counts[at, i] = resp.supports
-        waiting = (counts < 0).any(axis=1)
+        waiting = kept & (counts < 0).any(axis=1)
         if waiting.any():
-            still_waiting = list(map(tuple, self._rows[waiting].tolist()))
+            still_waiting = list(map(tuple, candidates[waiting].tolist()))
             raise ProtocolError(f"missing count responses for {still_waiting!r}")
 
-        totals = counts.sum(axis=1)
-        frequent = totals >= self.global_threshold
-        self.frequent, self.supports = self._rows[frequent], totals[frequent]
-        self.heavy = self._reported[frequent]
+        totals = counts[kept].sum(axis=1)
+        frequent = kept.copy()
+        frequent[kept] = totals >= self.global_threshold
+        self.frequent, self.supports = candidates[frequent], totals[frequent[kept]]
+        self.heavy = ~asked[frequent]
         self.open, self.stopped = False, int(np.count_nonzero(frequent)) <= k
-        return GlobalResult(self._named(frequent), k=k, continue_flag=not self.stopped)
+        return GlobalResult(frequent, k=k, continue_flag=not self.stopped)
 
 
 class ImprovedRun:

@@ -6,6 +6,7 @@ from distmine import (
     CountDistributionRun,
     PartitionSpec,
     ProtocolError,
+    TransactionDb,
     partition,
     sequential_apriori,
 )
@@ -84,7 +85,7 @@ class TestCountDistribution:
         parts = partition(market_db, PartitionSpec(n_sites=3))
         run = CountDistributionRun(parts, "2/3")
         run.run()
-        assert all(c.raw_scans == 1 for c in run.scan_counters)
+        assert all(s.scan_counter.raw_scans == 1 for s in run.sites)
 
     def test_matches_oracle_across_small_corpus(self):
         for seed in range(10):
@@ -109,3 +110,7 @@ class TestCountDistribution:
     def test_rejects_empty_partition_list(self):
         with pytest.raises(ValueError, match="at least one"):
             CountDistributionRun([], "0.5")
+        # An empty partition among others: its site refuses it.
+        parts = [TransactionDb(((0,),), 1), TransactionDb((), 1)]
+        with pytest.raises(ValueError, match="site 1: empty partition"):
+            CountDistributionRun(parts, "0.5")

@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from bruteforce import enumerate_frequent
+from bruteforce import enumerate_frequent, join_candidates, oracle_threshold
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +24,7 @@ from distmine import (
     sequential_apriori,
 )
 from distmine import dataset, lmatrix
+from distmine.protocol import CenterSite
 from distmine.dataset import PARTITION_STRATEGIES
 
 
@@ -101,3 +102,74 @@ def test_miners_equal_oracle_past_one_word(chunk_bytes, instance):
         lmatrix, "CHUNK_BYTES", chunk_bytes
     ):
         _check_miners(*instance)
+
+
+def _center_levels(parts, minsup) -> list[dict]:
+    """Run improved on ``parts``; per level, what the center was given and
+    what it returned: the reports, ``aggregate``'s three returns, the poll
+    answers and the GlobalResult."""
+    levels = []
+    aggregate, finalize = CenterSite.aggregate, CenterSite.finalize
+
+    def aggregating(center, reports):
+        out = aggregate(center, reports)
+        levels.append({"reports": reports, "aggregated": out})
+        return out
+
+    def finalizing(center, responses):
+        levels[-1].update(responses=responses, result=finalize(center, responses))
+        return levels[-1]["result"]
+
+    with mock.patch.object(CenterSite, "aggregate", aggregating), mock.patch.object(
+        CenterSite, "finalize", finalizing
+    ):
+        ImprovedRun(parts, minsup).run()
+    return levels
+
+
+def _tuples(rows) -> list[tuple]:
+    return list(map(tuple, rows.tolist()))
+
+
+def _named(candidates: list[tuple], mask) -> list[tuple]:
+    """The itemsets of ``candidates`` that ``mask`` marks, in order."""
+    return [x for x, bit in zip(candidates, mask) if bit]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(instances())
+def test_center_decisions_equal_reference(instance):
+    # Each level's decisions, rebuilt from the reports and poll answers as
+    # tuples over C_k from the oracle's own join; a center that polls more
+    # than it must still mines the right itemsets, so only this sees it.
+    _, parts, minsup = instance
+    site_thresholds = [oracle_threshold(minsup, p.size) for p in parts]
+    global_threshold = oracle_threshold(minsup, sum(p.size for p in parts))
+    candidates = [(i,) for i in range(max(p.universe for p in parts))]
+    for level in _center_levels(parts, minsup):
+        reported = []
+        for r in sorted(level["reports"], key=lambda r: r.site_id):
+            assert len(r.mask) == len(candidates)
+            reported.append(dict(zip(_named(candidates, r.mask), r.supports.tolist())))
+        seen = [x for x in candidates if any(x in counts for counts in reported)]
+        bound = {
+            x: sum(counts.get(x, t - 1) for counts, t in zip(reported, site_thresholds))
+            for x in seen
+        }
+        immediate, pruned, requests = level["aggregated"]
+        assert _tuples(immediate) == [x for x in seen if all(x in c for c in reported)]
+        assert _tuples(pruned) == [x for x in seen if bound[x] < global_threshold]
+        polled = {
+            i: [x for x in seen if x not in counts and bound[x] >= global_threshold]
+            for i, counts in enumerate(reported)
+        }
+        assert {i: _named(candidates, req.mask) for i, req in requests.items()} == {
+            i: xs for i, xs in polled.items() if xs
+        }
+        totals = {x: sum(c.get(x, 0) for c in reported) for x in seen if bound[x] >= global_threshold}
+        for resp in level["responses"]:
+            for x, count in zip(polled[resp.site_id], resp.supports.tolist()):
+                totals[x] += count
+        frequent = [x for x in candidates if totals.get(x, -1) >= global_threshold]
+        assert _named(candidates, level["result"].mask) == frequent
+        candidates = join_candidates(frequent)
